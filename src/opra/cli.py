@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success (including empty results), 1 inconclusive (bound or
-oracle exhausted), 2 input errors, 3 normal-form size guard, 4 complement of
-a query with free path variables.
+oracle exhausted), 2 input errors and evaluation errors (such as an undefined
+infinite sum), 3 normal-form size guard, 4 complement of a query with free
+path variables.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ def cmd_eval(args) -> int:
         result, complete = engine.answers(q, g, max_witness_len=args.max_witness_len)
     except BoundExhausted as exc:
         return _fail(str(exc), EXIT_INCONCLUSIVE)
+    except OpraError as exc:
+        return _fail(f"{type(exc).__name__}: {exc}")
     rows = sorted(result, key=lambda item: tuple(map(str, item[0])))
     if args.json:
         doc = {
@@ -123,11 +126,13 @@ def cmd_check(args) -> int:
     try:
         got, complete = engine.answers(q, g)
         inconclusive = inconclusive or not complete
+        oracle_set = bruteforce.answers_brute(q, g, max_len=args.oracle_len,
+                                              engine=engine)
     except BoundExhausted:
         return _fail("engine inconclusive", EXIT_INCONCLUSIVE)
+    except OpraError as exc:
+        return _fail(f"{type(exc).__name__}: {exc}")
     engine_set = {nodes for nodes, _ in got}
-    oracle_set = bruteforce.answers_brute(q, g, max_len=args.oracle_len,
-                                          engine=engine)
     rows = sorted(engine_set | oracle_set, key=lambda t: tuple(map(str, t)))
     disagree = unknown = 0
     for nodes in rows:

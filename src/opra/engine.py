@@ -10,11 +10,11 @@ into the same machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, product as iproduct
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ArityMismatch, BoundExhausted, RecursionLimit
-from .graph import NEG_INF, POS_INF, ext_add, ext_mul
+from .errors import ArityMismatch, BoundExhausted, RecursionLimit, UnknownNode
+from .graph import NEG_INF, POS_INF, ext_add, ext_max, ext_min, ext_mul
 from .model import (
     Atom,
     BoundConst,
@@ -142,6 +142,7 @@ class Engine:
     def holds(self, q: Query, g, nodes: Sequence = (), paths: Sequence = ()) -> bool:
         """Does the query hold at the given selected-variable instantiation?"""
         require_valid(q, g.schema())
+        _require_nodes(g, chain(nodes, *paths))
         return self.holds_on(q, g, tuple(nodes), tuple(paths))
 
     def answers(self, q: Query, g, max_witness_len: Optional[int] = None):
@@ -170,6 +171,7 @@ class Engine:
         require_valid(q, g.schema())
         if len(q.select_paths) != 1:
             raise ArityMismatch("extremal requires exactly one selected path")
+        _require_nodes(g, bindings.values())
         return self.extremal_on(labelling, q, g, bindings, direction)
 
     # -- internal recursion points (used by ontology terms) ---------------------
@@ -232,11 +234,11 @@ class Engine:
                 if direction == "min":
                     if value is NEG_INF:
                         return NEG_INF
-                    best = value if best is None else _ext_min(best, value)
+                    best = value if best is None else ext_min(best, value)
                 else:
                     if value is POS_INF:
                         return POS_INF
-                    best = value if best is None else _ext_max(best, value)
+                    best = value if best is None else ext_max(best, value)
             if exhausted:
                 raise BoundExhausted("extremal evaluation inconclusive")
             if best is None:
@@ -300,14 +302,12 @@ def _with_objective(core: CompiledCore, labelling: str, pathvar: str) -> Compile
     return CompiledCore(core.slots, core.nfas, dims)
 
 
-def _ext_min(a, b):
-    from .graph import ext_cmp
-    return a if ext_cmp(a, b) <= 0 else b
-
-
-def _ext_max(a, b):
-    from .graph import ext_cmp
-    return a if ext_cmp(a, b) >= 0 else b
+def _require_nodes(g, nodes: Iterable) -> None:
+    """Reject node ids from the caller that are not nodes of the graph; the
+    evaluation below follows adjacency and would not notice them."""
+    for v in nodes:
+        if not g.has_node(v):
+            raise UnknownNode(repr(v))
 
 
 DEFAULT_ENGINE = Engine()

@@ -71,10 +71,6 @@ def is_finite(a: ExtInt) -> bool:
     return not isinstance(a, _Infinity)
 
 
-def ext_neg(a: ExtInt) -> ExtInt:
-    return -a
-
-
 def ext_add(a: ExtInt, b: ExtInt) -> ExtInt:
     if isinstance(a, _Infinity):
         if isinstance(b, _Infinity) and a.sign != b.sign:
@@ -167,7 +163,12 @@ DEFAULT_MAGNITUDE_CAP = 10 ** 6
 
 
 class Graph:
-    """Immutable labelled graph.  The sink node is always a member."""
+    """Immutable labelled graph.  The sink node is always a member.
+
+    Construction also indexes the out-neighbours of every binary labelling
+    whose default is 0, so that successor steps read adjacency lists instead
+    of probing every node.
+    """
 
     def __init__(self, nodes: Iterable[NodeId],
                  labellings: Iterable[Labelling] = (),
@@ -188,6 +189,20 @@ class Graph:
                             f"labelling {lab.name!r} stores {v}, "
                             f"cap is {magnitude_cap}")
             self.labellings[lab.name] = lab
+        self._out = {lab.name: self._out_index(lab)
+                     for lab in self.labellings.values()
+                     if lab.arity == 2 and ext_cmp(lab.default, 0) == 0}
+
+    def _out_index(self, lab: Labelling) -> Dict[NodeId, Tuple[NodeId, ...]]:
+        """Source -> the real targets with a nonzero entry, in `real_nodes`
+        order (so candidate order matches a scan over `real_nodes`)."""
+        rank = {v: i for i, v in enumerate(self._real_nodes)}
+        out: Dict[NodeId, list] = {}
+        for (u, v), value in lab.entries.items():
+            if v in rank and ext_cmp(value, 0) != 0:
+                out.setdefault(u, []).append(v)
+        return {u: tuple(sorted(vs, key=rank.__getitem__))
+                for u, vs in out.items()}
 
     @property
     def real_nodes(self) -> Tuple[NodeId, ...]:
@@ -216,6 +231,16 @@ class Graph:
             if not self.has_node(a):
                 raise UnknownNode(repr(a))
         return lab.value(args)
+
+    def out_neighbours(self, name: str,
+                       u: NodeId) -> Tuple[NodeId, ...] | None:
+        """The real nodes v with `lookup(name, (u, v))` nonzero, in
+        `real_nodes` order, or None when `name` has no index (it is not a
+        binary labelling with default 0).  `u` is not checked."""
+        index = self._out.get(name)
+        if index is None:
+            return None
+        return index.get(u, ())
 
 
 def lookup(graph: Graph, name: str, args: Sequence[NodeId]) -> ExtInt:

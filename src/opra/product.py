@@ -93,6 +93,8 @@ class AnswerOracle:
                          if s.bound_path is not None]
         self.N = max(1, max(bound_lengths, default=0))
         self._tracked = tuple(i for i, s in enumerate(core.slots) if s.track_prev)
+        self._prev_pos = {i: p for p, i in enumerate(self._tracked)}
+        self._triggers = self._join_order_triggers()
         self._touched: Dict[ProductNode, ProductNode] = {}
         self._final_cache: Dict[ProductNode, bool] = {}
         self._succ_cache: Dict[ProductNode, Tuple[ProductNode, ...]] = {}
@@ -187,7 +189,7 @@ class AnswerOracle:
                 per_slot.append(sorted(srcs, key=str) if good else [])
             else:
                 per_slot.append([SINK] + list(self.graph.real_nodes))
-        triggers = self._join_order_triggers()
+        triggers = self._triggers
         state_choices = [sorted(nfa.initials) for nfa, _ in self.core.nfas]
         prev_blank = tuple(SINK for _ in self._tracked)
         k = self.k
@@ -252,24 +254,30 @@ class AnswerOracle:
     def _free_slot_candidates(self, slot: SlotSpec, cur) -> List[object]:
         if cur is SINK:
             return [SINK]
+        if not slot.constraints:
+            return [SINK, *self.graph.real_nodes]
         out: List[object] = []
-        if slot.constraints:
-            if all(cur == tgt for (_, tgt, _) in slot.constraints):
-                out.append(SINK)
-            for v in self.graph.real_nodes:
-                if all(ext_cmp(self.graph.lookup(edge, (cur, v)), 0) != 0
-                       for (_, _, edge) in slot.constraints):
-                    out.append(v)
-        else:
+        if all(cur == tgt for (_, tgt, _) in slot.constraints):
             out.append(SINK)
-            out.extend(self.graph.real_nodes)
+        edges = [edge for (_, _, edge) in slot.constraints]
+        pool = self.graph.out_neighbours(edges[0], cur)
+        if pool is None:  # no index (auxiliary or nonzero-default labelling)
+            pool = self.graph.real_nodes
+        else:
+            edges = edges[1:]
+        lookup = self.graph.lookup
+        out.extend(v for v in pool
+                   if all(ext_cmp(lookup(edge, (cur, v)), 0) != 0
+                          for edge in edges))
         return out
 
-    def _window(self, u: ProductNode, next_nodes: Tuple, slot_idxs) -> Tuple:
+    def _window(self, u: ProductNode, next_nodes, slot_idxs) -> Tuple:
+        """The letter window of the given slots on the step u -> next_nodes."""
         window = []
-        prev_map = dict(zip(self._tracked, u.prevs))
         for i in slot_idxs:
-            window.extend((prev_map.get(i, SINK), u.nodes[i], next_nodes[i]))
+            p = self._prev_pos.get(i)
+            window.extend((SINK if p is None else u.prevs[p], u.nodes[i],
+                           next_nodes[i]))
         return tuple(window)
 
     def _nfa_moves(self, u: ProductNode, next_nodes: Tuple):
@@ -302,10 +310,7 @@ class AnswerOracle:
     def _edge_feasible(self, ai: int, u: ProductNode, partial: List) -> bool:
         """Exact edge-letter check once the automaton's slots are decided."""
         nfa, slot_idxs = self.core.nfas[ai]
-        prev_map = dict(zip(self._tracked, u.prevs))
-        window = []
-        for i in slot_idxs:
-            window.extend((prev_map.get(i, SINK), u.nodes[i], partial[i]))
+        window = self._window(u, partial, slot_idxs)
         pad = all(u.nodes[i] is SINK for i in slot_idxs)
         s = u.states[ai]
         for (letter, _) in nfa.moves(s):
@@ -328,7 +333,7 @@ class AnswerOracle:
                 if not cands:
                     return
                 per_slot.append(cands)
-        triggers = self._join_order_triggers()
+        triggers = self._triggers
         prevs = self._prevs_for(u.nodes)
         k = self.k
         partial: List[object] = [None] * k
@@ -468,11 +473,3 @@ class AnswerOracle:
                 nodes.append(v)
             paths.append(tuple(nodes))
         return tuple(paths)
-
-
-def decode(oracle: AnswerOracle, product_path) -> Tuple[Tuple, ...]:
-    return oracle.decode(product_path)
-
-
-def is_edge(oracle: AnswerOracle, u: ProductNode, w: ProductNode) -> bool:
-    return oracle.is_edge(u, w)

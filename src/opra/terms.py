@@ -207,6 +207,12 @@ class ExtendedGraph:
         value = eval_term(d.body, scope, dict(zip(d.params, args)))
         return self._memo.setdefault(key, value)
 
+    def out_neighbours(self, name: str, u):
+        """The base graph's out-neighbour index; None for auxiliary names."""
+        if name in self._by_name:
+            return None
+        return self.base.out_neighbours(name, u)
+
     def _materialize(self):
         nodes = list(self.base.nodes)
         for d in self.defs:
@@ -260,6 +266,9 @@ class _UpTo:
             raise UnknownLabelling(
                 f"labelling {name!r} defined later in the ontology")
         return self._eg.lookup(name, args)
+
+    def out_neighbours(self, name, u):
+        return self._eg.out_neighbours(name, u)
 
 
 def _tuples(pool, n):

@@ -78,6 +78,25 @@ class TestCheck:
         assert code == 0 and "AGREE" in out
 
 
+class TestRuntimeErrors:
+    def test_undefined_infinite_sum_exit_2(self, capsys, tmp_path):
+        g = tmp_path / "inf.json"
+        g.write_text(json.dumps({"nodes": ["a", "b"], "labellings": [
+            {"name": "E", "arity": 2, "default": 0,
+             "entries": [[["a", "b"], 1]]},
+            {"name": "u", "arity": 1, "default": 0,
+             "entries": [[["a"], "+inf"]]},
+            {"name": "w", "arity": 1, "default": 0,
+             "entries": [[["a"], "+inf"]]}]}))
+        q = tmp_path / "q.opra"
+        q.write_text("SELECT NODES x, y SUCH THAT x -[pi]-> y : E "
+                     "HAVING u[pi] - w[pi] <= 0")
+        for command in ("eval", "check"):
+            code, _, err = run(capsys, command, str(g), str(q))
+            assert code == 2, command
+            assert err.count("\n") == 1 and "UndefinedInfinitySum" in err
+
+
 class TestAlgebra:
     def test_complement_free_paths_exit_4(self, capsys, tmp_path):
         q = tmp_path / "paths.opra"

@@ -10,7 +10,7 @@ from helpers import certify_holds, pool_queries, random_graph
 
 from opra.bruteforce import holds_brute
 from opra.engine import Engine, EngineLimits, answers, extremal, holds
-from opra.errors import RecursionLimit, ValidationFailed
+from opra.errors import RecursionLimit, UnknownNode, ValidationFailed
 from opra.graph import NEG_INF, POS_INF, Graph, Labelling
 from opra.model import RAlt
 from opra.parser import parse
@@ -41,6 +41,12 @@ class TestHolds:
         with pytest.raises(ValidationFailed):
             holds(q, map_graph, ("S",))
 
+    def test_unknown_selected_node(self, map_graph):
+        q = parse("SELECT NODES x, y SUCH THAT x -[pi]-> y : E")
+        for sel in (("Z", "T"), ("S", "Z")):
+            with pytest.raises(UnknownNode):
+                holds(q, map_graph, sel)
+
     def test_bound_selected_paths(self, map_graph):
         q = parse(corpus_texts()["q_route"])
         assert holds(q, map_graph, ("S", "P"), (("S", "T", "P"),))
@@ -68,7 +74,8 @@ class TestCorpusSmoke:
             "q9": lambda r: r == {()},    # two paths sharing a node exist
             "q10": lambda r: r == set(),  # the map has no clubs
             "q_bidirectional": lambda r: ("S", "S") in r,
-            "q_average": lambda r: ("S", "T") in r,
+            # T's only in-edge is S->T, whose average 22.5 exceeds 5
+            "q_average": lambda r: r == {("S", "S")},
         }
         for name, text in corpus_texts().items():
             q = parse(text)
@@ -121,6 +128,12 @@ class TestExtremal:
         q = parse(corpus_texts()["q_route"])
         assert extremal("attr", q, map_graph,
                         {"x": "S", "y": "P"}, "max") is POS_INF
+
+    def test_unknown_binding(self, map_graph):
+        q = parse(corpus_texts()["q_route"])
+        for bindings in ({"x": "Z", "y": "P"}, {"x": "S", "y": "Z"}):
+            with pytest.raises(UnknownNode):
+                extremal("time", q, map_graph, bindings, "min")
 
     def test_empty_conventions(self, map_graph):
         q = parse("LET One(x) := 1 IN SELECT NODES x, y, PATHS p "

@@ -128,6 +128,22 @@ class TestLookup:
             map_graph.lookup("attr", ("Z",))
 
 
+class TestOutNeighbours:
+    def test_nonzero_entries_in_node_order(self):
+        g = Graph(["c", "b", "a"], [Labelling("E", 2, {
+            ("a", "c"): 1, ("a", "b"): NEG_INF, ("a", "a"): 0,
+            ("b", "a"): POS_INF, ("b", SINK): 1}, 0)])
+        assert g.out_neighbours("E", "a") == ("b", "c")
+        assert g.out_neighbours("E", "b") == ("a",)  # sink target skipped
+        assert g.out_neighbours("E", "c") == ()
+
+    def test_unindexed_labellings(self):
+        g = Graph(["a"], [Labelling("D", 2, {}, 1), Labelling("u", 1, {}, 0)])
+        assert g.out_neighbours("D", "a") is None  # nonzero default
+        assert g.out_neighbours("u", "a") is None
+        assert g.out_neighbours("nope", "a") is None
+
+
 class TestEmbedEcrpq:
     def test_self_loop(self):
         g = embed_ecrpq(["u"], [("u", "a", "u")], ["a"])

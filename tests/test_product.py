@@ -8,9 +8,9 @@ import pytest
 
 from helpers import random_graph
 
-from opra.engine import Engine, _Prepared
+from opra.engine import Engine, _Prepared, answers
 from opra.errors import NotAWitness
-from opra.graph import SINK, Graph, Labelling, comb
+from opra.graph import NEG_INF, POS_INF, SINK, Graph, Labelling, comb
 from opra.model import regex_variables
 from opra.nfa import match_direct
 from opra.parser import parse
@@ -160,6 +160,54 @@ class TestSuccessors:
             env={"x": "a", "y": "b"})
         u = ProductNode((), COUNTER_INF, (SINK,), ())
         assert {w.nodes for w in o.successors(u)} == {(SINK,)}
+
+
+class TestOutNeighbourIndex:
+    """Successor candidates read from the base graph's out-neighbour index
+    equal those of the full scan, which ontology-defined edge labellings
+    still take; so do the answers and their witnesses."""
+
+    # labelling -> (entry values, default); Z stores zeros, I infinities,
+    # D has a nonzero default and no index, so both sides scan
+    LABELLINGS = {"Z": ((0, 1, -2), 0), "I": ((POS_INF, NEG_INF, 0, 3), 0),
+                  "D": ((0, 0, 5), 1)}
+    EDGES = ["Z", "I", "D", "Z AND x -[p]-> y : I"]
+
+    def _graph(self, rng):
+        nodes = [f"n{i}" for i in range(rng.randint(1, 5))]
+        labs = [Labelling(name, 2, {(u, v): rng.choice(values)
+                                    for u in nodes for v in nodes
+                                    if rng.random() < 0.5}, default)
+                for name, (values, default) in self.LABELLINGS.items()]
+        return Graph(nodes, labs)
+
+    def _queries(self, edges):
+        indexed = f"SELECT NODES x, y SUCH THAT x -[p]-> y : {edges}"
+        first, _, rest = edges.partition(" ")
+        scanned = (f"LET F(x, y) := {first}(x, y) IN SELECT NODES x, y "
+                   f"SUCH THAT x -[p]-> y : F {rest}")
+        return indexed, scanned
+
+    def test_index_agrees_with_scan(self):
+        rng = random.Random(61)
+        for _ in range(30):
+            g = self._graph(rng)
+            n0 = g.real_nodes[0]
+            assert g.out_neighbours("I", n0) is not None
+            assert g.out_neighbours("D", n0) is None
+            for edges in self.EDGES:
+                indexed, scanned = self._queries(edges)
+                for x in g.real_nodes:
+                    for y in (x, g.real_nodes[-1]):
+                        env = {"x": x, "y": y}
+                        o1, _, _ = make_oracle(indexed, g, env=env)
+                        o2, _, _ = make_oracle(scanned, g, env=env)
+                        for cur in g.real_nodes:
+                            assert o1._free_slot_candidates(o1.slots[0], cur) \
+                                == o2._free_slot_candidates(o2.slots[0], cur), \
+                                (edges, env, cur)
+                assert answers(parse(indexed), g) == \
+                    answers(parse(scanned), g), edges
 
 
 class TestDecode:
