@@ -14,16 +14,9 @@ from itertools import product as iproduct
 from typing import Dict, Sequence, Tuple
 
 from .graph import POS_INF, ext_add, ext_cmp, ext_mul, path_at
-from .model import BoundConst, Query, regex_variables, require_valid
+from .model import Query, regex_variables, require_valid
 from .nfa import match_direct
-from .terms import extend
-
-
-def resolve_bound(bound, gx):
-    if isinstance(bound, BoundConst):
-        return bound.value
-    value = gx.lookup(bound.name, ())
-    return ext_add(ext_mul(bound.sign, value), bound.offset)
+from .terms import extend, resolve_bound
 
 
 def atom_value(gx, labelling: str, paths: Sequence[Tuple]) -> object:
@@ -56,16 +49,9 @@ def check_instantiation(q: Query, gx, env: Dict[str, object],
     for r in q.regular_constraints:
         variables = regex_variables(r)
         selected = variables if variables else tuple(all_path_vars)
-        paths = tuple(as_path(v) for v in selected)
-        if variables:
-            if not match_direct(r, paths, gx):
-                return False
-        else:
-            # variable-free regex ranges over every path of the query
-            from .graph import comb
-            windows = comb(paths) if paths else ()
-            if not _match_varless(r, windows, gx):
-                return False
+        # a variable-free regex ranges over every path of the query
+        if not match_direct(r, tuple(as_path(v) for v in selected), gx):
+            return False
 
     for ac in q.arithmetical_constraints:
         total = 0
@@ -76,42 +62,6 @@ def check_instantiation(q: Query, gx, env: Dict[str, object],
         if ext_cmp(total, resolve_bound(ac.bound, gx)) > 0:
             return False
     return True
-
-
-def _match_varless(r, windows, gx) -> bool:
-    from .model import RAlt, RConcat, RLetter
-    from .nfa import eval_letter
-    memo: dict = {}
-
-    def ends(node, start):
-        key = (id(node), start)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, RLetter):
-            ok = start < len(windows) and eval_letter(node, windows[start], gx, ())
-            out = frozenset({start + 1}) if ok else frozenset()
-        elif isinstance(node, RConcat):
-            positions = {start}
-            for part in node.parts:
-                positions = set().union(*(ends(part, p) for p in positions)) \
-                    if positions else set()
-            out = frozenset(positions)
-        elif isinstance(node, RAlt):
-            out = frozenset().union(*(ends(p, start) for p in node.parts))
-        else:
-            closure = {start}
-            frontier = [start]
-            while frontier:
-                p = frontier.pop()
-                for nxt in ends(node.inner, p):
-                    if nxt not in closure:
-                        closure.add(nxt)
-                        frontier.append(nxt)
-            out = frozenset(closure)
-        memo[key] = out
-        return out
-
-    return len(windows) in ends(r, 0)
 
 
 def all_paths(nodes: Sequence, max_len: int):

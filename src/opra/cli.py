@@ -249,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="opra",
         description="Evaluate, translate and transform path queries on "
                     "integer-labelled graphs.")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="seed for randomized check modes (reserved)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a query on a graph")

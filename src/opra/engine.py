@@ -14,41 +14,22 @@ from itertools import chain, product as iproduct
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, BoundExhausted, RecursionLimit, UnknownNode
-from .graph import NEG_INF, POS_INF, ext_add, ext_max, ext_min, ext_mul
-from .model import (
-    Atom,
-    BoundConst,
-    BoundLabel,
-    PosRef,
-    Query,
-    letter_refs,
-    regex_variables,
-    require_valid,
-)
+from .graph import NEG_INF, POS_INF, ext_max, ext_min
+from .model import Query, letter_refs, regex_variables, require_valid
 from .nfa import compile as nfa_compile
 from .nfa import pad_extend
-from .product import CompiledCore, DimSpec, SlotSpec, build
-from .terms import ExtendedGraph, extend
+from .product import AnswerOracle, CompiledCore, DimSpec, SlotSpec
+from .terms import ExtendedGraph, extend, resolve_bound
 from . import vass
 
 
 @dataclass
 class EngineLimits:
-    max_configs: int = 400_000
+    """Per-search configuration budget, counter box (None derives one from
+    the weights and bounds) and the depth of nested evaluations."""
+    max_configs: int = vass.MAX_CONFIGS
     counter_box: Optional[int] = None
     recursion_limit: int = 64
-    explore_nodes: int = 4000
-    max_cycle_len: int = 24
-    max_cycles: int = 300
-
-    def search(self) -> vass.SearchLimits:
-        return vass.SearchLimits(max_configs=self.max_configs,
-                                 box=self.counter_box)
-
-    def cycles(self) -> vass.CycleLimits:
-        return vass.CycleLimits(explore_nodes=self.explore_nodes,
-                                max_cycle_len=self.max_cycle_len,
-                                max_cycles=self.max_cycles)
 
 
 class _Prepared:
@@ -68,7 +49,7 @@ class _Prepared:
         for ac in q.arithmetical_constraints:
             self.dim_terms.append(tuple(
                 (coef, atom.labelling, atom.vars) for coef, atom in ac.terms))
-            self.bounds.append(_resolve_bound(ac.bound, gx))
+            self.bounds.append(resolve_bound(ac.bound, gx))
         self.node_vars = q.node_vars()
         self.pc_by_var: Dict[str, List] = {}
         for pc in q.path_constraints:
@@ -79,7 +60,10 @@ class _Prepared:
             + list(q.quantified_paths())
 
     def core(self, env: Dict[str, object], bound_paths: Dict[str, Tuple],
-             free_vars: Sequence[str]) -> CompiledCore:
+             free_vars: Sequence[str],
+             objective: Optional[Tuple[str, str]] = None) -> CompiledCore:
+        """The product core under one full node binding.  `objective`
+        (labelling, path variable) appends that atom as a last dimension."""
         free = set(free_vars)
         slots = []
         index: Dict[str, int] = {}
@@ -100,10 +84,26 @@ class _Prepared:
         every = tuple(range(len(slots)))
         nfas = tuple((nfa, tuple(index[v] for v in variables) or every)
                      for nfa, variables in self.nfas)
+        dim_terms = list(self.dim_terms)
+        if objective is not None:
+            labelling, pathvar = objective
+            dim_terms.append(((1, labelling, (pathvar,)),))
         dims = tuple(DimSpec(tuple((coef, lab, tuple(index[v] for v in vars_))
                                    for coef, lab, vars_ in terms))
-                     for terms in self.dim_terms)
+                     for terms in dim_terms)
         return CompiledCore(tuple(slots), nfas, dims)
+
+    def oracles(self, base_env: Dict[str, object],
+                bound_paths: Dict[str, Tuple], free_vars: Sequence[str],
+                objective: Optional[Tuple[str, str]] = None):
+        """One answer oracle per binding of the node variables that
+        `base_env` leaves free, in a fixed order."""
+        free = sorted(self.node_vars - set(base_env))
+        for combo in iproduct(self.gx.real_nodes, repeat=len(free)):
+            env = dict(base_env)
+            env.update(zip(free, combo))
+            yield AnswerOracle(
+                self.core(env, bound_paths, free_vars, objective), self.gx)
 
 
 def _offset_minus_vars(regex) -> set:
@@ -125,17 +125,12 @@ def _offset_minus_vars(regex) -> set:
     return out
 
 
-def _resolve_bound(bound, gx):
-    if isinstance(bound, BoundConst):
-        return bound.value
-    value = gx.lookup(bound.name, ())
-    return ext_add(ext_mul(bound.sign, value), bound.offset)
-
-
 class Engine:
+    """Evaluation under fixed limits.  An engine keeps no per-call state;
+    the nesting depth of an evaluation is read off its extended graph."""
+
     def __init__(self, limits: Optional[EngineLimits] = None):
         self.limits = limits or EngineLimits()
-        self._depth = 0
 
     # -- public API -------------------------------------------------------------
 
@@ -152,7 +147,7 @@ class Engine:
         the flag drops when some instantiation stayed inconclusive.
         """
         require_valid(q, g.schema())
-        gx = extend(g, q.ontologies, engine=self)
+        gx = self._extend(q, g)
         prepared = _Prepared(q, gx)
         complete = True
         out = set()
@@ -183,92 +178,67 @@ class Engine:
         if len(paths) != len(q.select_paths):
             raise ArityMismatch(
                 f"{len(q.select_paths)} selected paths, got {len(paths)}")
-        self._enter()
-        try:
-            gx = extend(g, q.ontologies, engine=self)
-            prepared = _Prepared(q, gx)
-            bound = dict(zip(q.select_paths, map(tuple, paths)))
-            base_env = dict(zip(q.select_nodes, nodes))
-            exhausted = False
-            for env in self._environments(prepared, base_env):
-                core = prepared.core(env, bound, prepared.query.quantified_paths())
-                oracle = build(core, gx)
-                try:
-                    if not vass.emptiness(oracle, prepared.bounds,
-                                          self.limits.search()):
-                        return True
-                except BoundExhausted:
-                    exhausted = True
-            if exhausted:
-                raise BoundExhausted("query evaluation inconclusive")
-            return False
-        finally:
-            self._leave()
+        gx = self._extend(q, g)
+        prepared = _Prepared(q, gx)
+        bound = dict(zip(q.select_paths, map(tuple, paths)))
+        exhausted = False
+        for oracle in prepared.oracles(dict(zip(q.select_nodes, nodes)), bound,
+                                       q.quantified_paths()):
+            try:
+                if not vass.emptiness(oracle, prepared.bounds,
+                                      max_configs=self.limits.max_configs,
+                                      box=self.limits.counter_box):
+                    return True
+            except BoundExhausted:
+                exhausted = True
+        if exhausted:
+            raise BoundExhausted("query evaluation inconclusive")
+        return False
 
     def extremal_on(self, labelling: str, q: Query, g,
                     bindings: Dict[str, object], direction: str):
-        self._enter()
-        try:
-            gx = extend(g, q.ontologies, engine=self)
-            if gx.arity_of(labelling) != 1:
-                raise ArityMismatch(
-                    f"path extremum needs a unary labelling, got {labelling!r}")
-            prepared = _Prepared(q, gx)
-            pathvar = q.select_paths[0]
-            obj_dim = len(prepared.bounds)
-            bounds = tuple(prepared.bounds) + (POS_INF,)
-            best = None
-            exhausted = False
-            free_vars = list(q.quantified_paths()) + [pathvar]
-            for env in self._environments(prepared, dict(bindings)):
-                core = _with_objective(prepared.core(env, {}, free_vars),
-                                       labelling, pathvar)
-                oracle = build(core, gx)
-                try:
-                    value = vass.extremal(oracle, obj_dim, bounds, direction,
-                                          self.limits.search(),
-                                          self.limits.cycles())
-                except BoundExhausted:
-                    exhausted = True
-                    continue
-                if direction == "min":
-                    if value is NEG_INF:
-                        return NEG_INF
-                    best = value if best is None else ext_min(best, value)
-                else:
-                    if value is POS_INF:
-                        return POS_INF
-                    best = value if best is None else ext_max(best, value)
-            if exhausted:
-                raise BoundExhausted("extremal evaluation inconclusive")
-            if best is None:
-                return POS_INF if direction == "min" else NEG_INF
-            return best
-        finally:
-            self._leave()
+        gx = self._extend(q, g)
+        if gx.arity_of(labelling) != 1:
+            raise ArityMismatch(
+                f"path extremum needs a unary labelling, got {labelling!r}")
+        prepared = _Prepared(q, gx)
+        pathvar = q.select_paths[0]
+        obj_dim = len(prepared.bounds)
+        bounds = tuple(prepared.bounds) + (POS_INF,)
+        best = None
+        exhausted = False
+        free_vars = list(q.quantified_paths()) + [pathvar]
+        for oracle in prepared.oracles(dict(bindings), {}, free_vars,
+                                       (labelling, pathvar)):
+            try:
+                value = vass.extremal(oracle, obj_dim, bounds, direction,
+                                      max_configs=self.limits.max_configs,
+                                      box=self.limits.counter_box)
+            except BoundExhausted:
+                exhausted = True
+                continue
+            if direction == "min":
+                if value is NEG_INF:
+                    return NEG_INF
+                best = value if best is None else ext_min(best, value)
+            else:
+                if value is POS_INF:
+                    return POS_INF
+                best = value if best is None else ext_max(best, value)
+        if exhausted:
+            raise BoundExhausted("extremal evaluation inconclusive")
+        if best is None:
+            return POS_INF if direction == "min" else NEG_INF
+        return best
 
     # -- helpers ---------------------------------------------------------------
 
-    def _enter(self):
-        self._depth += 1
-        if self._depth > self.limits.recursion_limit:
-            self._depth -= 1
+    def _extend(self, q: Query, g) -> ExtendedGraph:
+        gx = extend(g, q.ontologies, engine=self)
+        if gx.depth > self.limits.recursion_limit:
             raise RecursionLimit(
                 f"nested evaluation deeper than {self.limits.recursion_limit}")
-
-    def _leave(self):
-        self._depth -= 1
-
-    def _environments(self, prepared: _Prepared, base_env: Dict[str, object]):
-        free = sorted(prepared.node_vars - set(base_env))
-        nodes = prepared.gx.real_nodes
-        if not free:
-            yield dict(base_env)
-            return
-        for combo in iproduct(nodes, repeat=len(free)):
-            env = dict(base_env)
-            env.update(zip(free, combo))
-            yield env
+        return gx
 
     def _find_answer(self, prepared: _Prepared, sel_env: Dict[str, object],
                      max_witness_len: Optional[int]):
@@ -276,30 +246,23 @@ class Engine:
         q = prepared.query
         free_vars = list(q.select_paths) + list(q.quantified_paths())
         exhausted = False
-        for env in self._environments(prepared, sel_env):
-            core = prepared.core(env, {}, free_vars)
-            oracle = build(core, prepared.gx)
+        for oracle in prepared.oracles(sel_env, {}, free_vars):
             try:
                 decoded = vass.find_witness(oracle, prepared.bounds,
-                                            self.limits.search(),
-                                            max_len=max_witness_len)
+                                            max_len=max_witness_len,
+                                            max_configs=self.limits.max_configs,
+                                            box=self.limits.counter_box)
             except BoundExhausted:
                 exhausted = True
                 continue
             if decoded is not None:
-                slot_of = {s.var: i for i, s in enumerate(core.slots)}
+                slot_of = {s.var: i for i, s in enumerate(oracle.core.slots)}
                 witness = tuple(decoded[slot_of[v]] for v in q.select_paths)
                 return witness, True
         if max_witness_len is not None:
             # a bounded search that found nothing proves nothing
             return None, False
         return None, not exhausted
-
-
-def _with_objective(core: CompiledCore, labelling: str, pathvar: str) -> CompiledCore:
-    slot = next(i for i, s in enumerate(core.slots) if s.var == pathvar)
-    dims = core.dims + (DimSpec(((1, labelling, (slot,)),)),)
-    return CompiledCore(core.slots, core.nfas, dims)
 
 
 def _require_nodes(g, nodes: Iterable) -> None:

@@ -87,7 +87,3 @@ class HasFreePathVariables(OpraError):
 
 class DnfLimitExceeded(OpraError):
     pass
-
-
-class InfiniteWeight(OpraError):
-    """An arithmetical atom evaluated to an infinity where a finite vector is required."""

@@ -77,8 +77,17 @@ class CompiledCore:
     dims: Tuple[DimSpec, ...]
 
 
-def build(core: CompiledCore, graph) -> "AnswerOracle":
-    return AnswerOracle(core, graph)
+def _targets(nfa: Nfa, states, window, pad: bool, graph, evaluate):
+    """Target states of the automaton's moves out of `states` on one letter
+    window.  While all of its paths have finished (`pad`) only the padding
+    move applies, and ordinary letters only apply before that."""
+    for s in states:
+        for (letter, t) in nfa.moves(s):
+            if letter is PAD:
+                if pad:
+                    yield t
+            elif not pad and evaluate(letter, window, graph, nfa.variables):
+                yield t
 
 
 class AnswerOracle:
@@ -158,15 +167,9 @@ class AnswerOracle:
         window = []
         for i in slot_idxs:
             window.extend((SINK, partial[i], _UNKNOWN))
-        for s in nfa.initials:
-            for (letter, _) in nfa.moves(s):
-                if letter is PAD:
-                    if pad:
-                        return True
-                elif not pad and eval_letter_maybe(letter, window, self.graph,
-                                                   nfa.variables):
-                    return True
-        return False
+        moves = _targets(nfa, nfa.initials, window, pad, self.graph,
+                         eval_letter_maybe)
+        return next(moves, None) is not None
 
     def initials(self):
         """Stream the set S; deterministic order, sink candidates first.
@@ -280,23 +283,24 @@ class AnswerOracle:
                            next_nodes[i]))
         return tuple(window)
 
+    def _moves(self, ai: int, u: ProductNode, next_nodes) -> List:
+        """Sorted next states of automaton `ai` on the step u -> next_nodes;
+        only the automaton's own slots of `next_nodes` need to be decided."""
+        nfa, slot_idxs = self.core.nfas[ai]
+        window = self._window(u, next_nodes, slot_idxs)
+        pad = all(u.nodes[i] is SINK for i in slot_idxs)
+        # the module global, looked up per call, so it can be instrumented
+        return sorted(set(_targets(nfa, (u.states[ai],), window, pad,
+                                   self.graph, eval_letter)))
+
     def _nfa_moves(self, u: ProductNode, next_nodes: Tuple):
         """Per automaton, the list of reachable next states on this edge."""
         all_moves = []
-        for (nfa, slot_idxs), s in zip(self.core.nfas, u.states):
-            window = self._window(u, next_nodes, slot_idxs)
-            pad = all(u.nodes[i] is SINK for i in slot_idxs)
-            targets = set()
-            for (letter, t) in nfa.moves(s):
-                if letter is PAD:
-                    if pad:
-                        targets.add(t)
-                elif not pad and eval_letter(letter, window, self.graph,
-                                             nfa.variables):
-                    targets.add(t)
+        for ai in range(len(self.core.nfas)):
+            targets = self._moves(ai, u, next_nodes)
             if not targets:
                 return None
-            all_moves.append(sorted(targets))
+            all_moves.append(targets)
         return all_moves
 
     def successors(self, u: ProductNode):
@@ -306,21 +310,6 @@ class AnswerOracle:
             hit = tuple(self._successors(u))
             self._succ_cache[u] = hit
         return hit
-
-    def _edge_feasible(self, ai: int, u: ProductNode, partial: List) -> bool:
-        """Exact edge-letter check once the automaton's slots are decided."""
-        nfa, slot_idxs = self.core.nfas[ai]
-        window = self._window(u, partial, slot_idxs)
-        pad = all(u.nodes[i] is SINK for i in slot_idxs)
-        s = u.states[ai]
-        for (letter, _) in nfa.moves(s):
-            if letter is PAD:
-                if pad:
-                    return True
-            elif not pad and eval_letter(letter, window, self.graph,
-                                         nfa.variables):
-                return True
-        return False
 
     def _successors(self, u: ProductNode):
         j2 = self._next_counter(u.counter)
@@ -337,20 +326,27 @@ class AnswerOracle:
         prevs = self._prevs_for(u.nodes)
         k = self.k
         partial: List[object] = [None] * k
+        # each automaton's next states, computed once its last slot is
+        # decided; with no slots at all there are no triggers
+        moves = self._nfa_moves(u, ()) if k == 0 \
+            else [None] * len(self.core.nfas)
+        if moves is None:
+            return
 
         def rec(idx: int):
             if idx == k:
                 nodes = tuple(partial)
-                moves = self._nfa_moves(u, nodes)
-                if moves is not None:
-                    for states in iproduct(*moves):
-                        yield self._touch(ProductNode(tuple(states), j2,
-                                                      nodes, prevs))
+                for states in iproduct(*moves):
+                    yield self._touch(ProductNode(tuple(states), j2,
+                                                  nodes, prevs))
                 return
             for v in per_slot[idx]:
                 partial[idx] = v
-                if all(self._edge_feasible(ai, u, partial)
-                       for ai in triggers[idx]):
+                for ai in triggers[idx]:
+                    moves[ai] = self._moves(ai, u, partial)
+                    if not moves[ai]:
+                        break
+                else:
                     yield from rec(idx + 1)
             partial[idx] = None
 

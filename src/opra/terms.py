@@ -24,6 +24,7 @@ from .graph import (
     ext_sum,
 )
 from .model import (
+    BoundConst,
     OntologyDef,
     TAggregate,
     TApply,
@@ -137,12 +138,16 @@ class ExtendedGraph:
 
     Lookups of auxiliary names evaluate the defining term with earlier
     auxiliaries visible; results are memoized (write-once per key), which the
-    eager mode simply pre-populates.
+    eager mode simply pre-populates.  `depth` counts the extensions down to
+    the plain graph, so it is the nesting depth of the evaluation that made
+    this one.
     """
 
     def __init__(self, base, defs: Iterable[OntologyDef], mode: str = LAZY,
                  engine=None):
         self.base = base
+        self.depth = base.depth + 1 \
+            if isinstance(base, (ExtendedGraph, _UpTo)) else 1
         self.defs: Tuple[OntologyDef, ...] = tuple(defs)
         self._by_name = {d.name: d for d in self.defs}
         self._order = {d.name: i for i, d in enumerate(self.defs)}
@@ -241,6 +246,10 @@ class _UpTo:
     def magnitude_cap(self):
         return self._eg.magnitude_cap
 
+    @property
+    def depth(self):
+        return self._eg.depth
+
     def has_node(self, v):
         return self._eg.has_node(v)
 
@@ -284,6 +293,14 @@ def extend(g, defs: Iterable[OntologyDef], mode: str = LAZY,
            engine=None) -> ExtendedGraph:
     """Extend a graph with auxiliary labellings, added left to right."""
     return ExtendedGraph(g, defs, mode=mode, engine=engine)
+
+
+def resolve_bound(bound, gx) -> ExtInt:
+    """The value of an arithmetical constraint's bound on a graph."""
+    if isinstance(bound, BoundConst):
+        return bound.value
+    value = gx.lookup(bound.name, ())
+    return ext_add(ext_mul(bound.sign, value), bound.offset)
 
 
 def base_graph(g) -> Graph:

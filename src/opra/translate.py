@@ -992,9 +992,3 @@ def _parse_tuple_regex(text: str, width: int, ln: int) -> TupleRegex:
     if pos != len(text):
         error(f"trailing input {text[pos:]!r}")
     return node
-
-
-def parse_ecrpq_graph(doc: dict) -> EcrpqGraph:
-    return EcrpqGraph(tuple(doc["nodes"]),
-                      tuple(tuple(e) for e in doc["edges"]),
-                      tuple(doc["alphabet"]))

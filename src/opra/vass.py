@@ -18,12 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (
-    BoundExhausted,
-    DimensionMismatch,
-    InfiniteWeight,
-    UndefinedInfinitySum,
-)
+from .errors import BoundExhausted, DimensionMismatch
 from .graph import NEG_INF, POS_INF, SINK, ext_add, ext_cmp, ext_mul, is_finite
 from .product import COUNTER_INF, AnswerOracle, ProductNode
 
@@ -80,7 +75,7 @@ class ZResult:
     witness: Optional[List[Tuple[object, Tuple[int, ...], object]]] = None
 
 
-def z_reachable(v, from_cfg: Configuration, to_cfg: Configuration,
+def z_reachable(v: Vass, from_cfg: Configuration, to_cfg: Configuration,
                 length_bound: Optional[int] = None, box: Optional[int] = None,
                 max_configs: int = 200_000) -> ZResult:
     """Does the vector sum along some path link the two configurations?
@@ -92,17 +87,12 @@ def z_reachable(v, from_cfg: Configuration, to_cfg: Configuration,
     if len(from_cfg.vector) != len(to_cfg.vector):
         raise DimensionMismatch("configuration dimensions differ")
     if box is None:
-        box = v.default_box() if hasattr(v, "default_box") else 10_000
-    lo_hint, hi_hint = v.edge_bounds() if hasattr(v, "edge_bounds") else (None, None)
-    slack = bool(getattr(v, "unit_slack_at_target", False))
+        box = v.default_box()
+    lo_hint, hi_hint = v.edge_bounds()
     target = to_cfg
 
     def at_target(node, vec) -> bool:
-        if node != target.node:
-            return False
-        if vec == target.vector:
-            return True
-        return slack and all(t - x >= 0 for x, t in zip(vec, target.vector))
+        return node == target.node and vec == target.vector
 
     start = (from_cfg.node, tuple(from_cfg.vector))
     if at_target(*start):
@@ -122,11 +112,11 @@ def z_reachable(v, from_cfg: Configuration, to_cfg: Configuration,
             nvec = tuple(x + d for x, d in zip(vec, delta))
             dead = escaped = False
             for i, x in enumerate(nvec):
-                if lo_hint is not None and lo_hint[i] >= 0 and x > target.vector[i]:
+                # a dimension that can only grow (shrink) is dead past the target
+                if lo_hint[i] >= 0 and x > target.vector[i]:
                     dead = True
                     break
-                if hi_hint is not None and hi_hint[i] <= 0 \
-                        and x < target.vector[i] and not slack:
+                if hi_hint[i] <= 0 and x < target.vector[i]:
                     dead = True
                     break
                 if abs(x) > box:
@@ -169,98 +159,10 @@ def replay(witness, from_cfg: Configuration) -> Configuration:
 
 
 # ---------------------------------------------------------------------------
-# Lazy VASS over an answer oracle
-# ---------------------------------------------------------------------------
-
-class _Endpoint:
-    __slots__ = ("tag",)
-
-    def __init__(self, tag):
-        self.tag = tag
-
-    def __repr__(self):
-        return self.tag
-
-
-class LazyVass:
-    """Reduction of the constrained answer-graph search to Z-reachability.
-
-    The source edge loads the negated bounds, every edge out of a product
-    node adds that node's weights, final nodes connect to the sink, and unit
-    slack loops at the sink absorb the leftover bound minus sum.  Feasible
-    runs are exactly paths from (s, 0) to (t, 0).
-    """
-
-    def __init__(self, oracle: AnswerOracle, bounds: Sequence[int]):
-        if len(bounds) != len(oracle.core.dims):
-            raise DimensionMismatch(
-                f"{len(bounds)} bounds for {len(oracle.core.dims)} dimensions")
-        if any(not isinstance(b, int) for b in bounds):
-            raise DimensionMismatch("the documented reduction takes integer bounds")
-        self.oracle = oracle
-        self.bounds = tuple(bounds)
-        self.dimension = len(bounds)
-        self.source = _Endpoint("s")
-        self.target = _Endpoint("t")
-        self.unit_slack_at_target = True
-
-    def _weights(self, u: ProductNode) -> Tuple[int, ...]:
-        w = self.oracle.weights(u)
-        if any(not is_finite(x) for x in w):
-            raise InfiniteWeight(f"infinite weight at {u!r}")
-        return tuple(w)
-
-    def successors(self, node):
-        if node is self.source:
-            neg = tuple(-c for c in self.bounds)
-            for init in self.oracle.initials():
-                yield (neg, init)
-            return
-        if node is self.target:
-            for i in range(self.dimension):
-                yield (tuple(1 if j == i else 0 for j in range(self.dimension)),
-                       self.target)
-            return
-        w = self._weights(node)
-        for succ in self.oracle.successors(node):
-            yield (w, succ)
-        if self.oracle.is_final(node):
-            yield (w, self.target)
-
-    def edge_bounds(self):
-        ranges = self.oracle.weight_ranges()
-        lo, hi = [], []
-        for i, r in enumerate(ranges):
-            if r is None:
-                return None, None
-            lo.append(min(r[0], -self.bounds[i], 0))
-            hi.append(max(r[1], -self.bounds[i], 1))
-        return lo, hi
-
-    def default_box(self) -> int:
-        maxw = 1
-        for i, r in enumerate(self.oracle.weight_ranges()):
-            maxw = max(maxw, abs(self.bounds[i]))
-            if r is not None:
-                maxw = max(maxw, abs(r[0]), abs(r[1]))
-        n = len(self.oracle.graph.real_nodes) + 1
-        return max(64, maxw * n * n * (self.dimension + 1))
-
-
-def from_answer_graph(o: AnswerOracle, bounds: Sequence[int]):
-    """The documented reduction; returns (lazy VASS, source, sink)."""
-    v = LazyVass(o, bounds)
-    return v, v.source, v.target
-
-
-# ---------------------------------------------------------------------------
 # Constrained search over oracles (extended-integer aware)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SearchLimits:
-    max_configs: int = 400_000
-    box: Optional[int] = None  # None derives a box from weights and bounds
+MAX_CONFIGS = 400_000  # default configuration budget of one search
 
 
 @dataclass
@@ -275,21 +177,23 @@ class CoreResult:
 
 def solve_core(oracle: AnswerOracle, bounds: Sequence,
                objective: Optional[Tuple[int, int, object]] = None,
-               limits: Optional[SearchLimits] = None,
                via: frozenset = frozenset(),
-               collect: bool = False) -> CoreResult:
+               collect: bool = False, *,
+               max_configs: int = MAX_CONFIGS,
+               box: Optional[int] = None) -> CoreResult:
     """Find an S-to-T run whose accumulated weights satisfy the bounds.
 
     `bounds` are extended integers per dimension (POS_INF drops a dimension
     from tracking).  `objective` is (dim, sign, probe): additionally require
     sign * value[dim] <= probe at the target.  `via` lists product nodes the
     run must visit.  Depth-first with a visited set over (node, tracked
-    values); deterministic order.
+    values); deterministic order.  More than `max_configs` visited
+    configurations give up; `box` clamps counter magnitudes (None derives
+    one from the weights and bounds).
 
     When the box clips the counter space, a weight-free reachability pass
     can still certify emptiness structurally.
     """
-    limits = limits or SearchLimits()
     dims = len(oracle.core.dims)
     if len(bounds) != dims:
         raise DimensionMismatch(f"{len(bounds)} bounds for {dims} dimensions")
@@ -302,12 +206,33 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence,
     obj_dim, obj_sign, obj_probe = objective if objective else (None, 0, None)
 
     ranges = oracle.weight_ranges()
-    box = limits.box if limits.box is not None else _derived_box(oracle, bounds, ranges)
+    if box is None:
+        box = _derived_box(oracle, bounds, ranges)
+
+    # per tracked dimension, the values past which a configuration is dead:
+    # above `hi` (below `lo`) when the weights there can only grow (shrink)
+    his, los = [], []
+    for d in tracked:
+        r, b = ranges[d], bounds[d]
+        hi = lo = None
+        if r is not None:
+            if r[0] >= 0 and is_finite(b):
+                hi = b
+            if d == obj_dim and is_finite(obj_probe):
+                if obj_sign > 0 and r[0] >= 0:
+                    hi = obj_probe if hi is None else min(hi, obj_probe)
+                if obj_sign < 0 and r[1] <= 0:
+                    lo = -obj_probe
+        his.append(hi)
+        los.append(lo)
+    weights = oracle.weights
+    clipped = False
 
     def arrive(node: ProductNode, values: Tuple):
         """New tracked vector after accumulating this node's weights, or
-        None when the configuration is certainly dead."""
-        w = oracle.weights(node)
+        None when the configuration is certainly dead or leaves the box."""
+        nonlocal clipped
+        w = weights(node)
         out = []
         for i, d in enumerate(tracked):
             v, wd = values[i], w[d]
@@ -316,35 +241,20 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence,
             else:
                 nv = ext_add(v, wd)
                 if nv is POS_INF:
-                    b = bounds[d]
-                    if b is not POS_INF:
+                    if bounds[d] is not POS_INF:
                         return None  # can never meet a finite or -inf bound
                     if d == obj_dim and obj_sign > 0:
                         return None  # minimization probe can never pass
             out.append(nv)
-        return tuple(out)
-
-    clipped = False
-
-    def admit(values) -> bool:
-        nonlocal clipped
-        for i, d in enumerate(tracked):
-            v = values[i]
+        for v, hi, lo in zip(out, his, los):
             if type(v) is not int:
                 continue
-            r = ranges[d]
-            b = bounds[d]
-            if r is not None and r[0] >= 0 and is_finite(b) and v > b:
-                return False
-            if r is not None and d == obj_dim and is_finite(obj_probe):
-                if obj_sign > 0 and r[0] >= 0 and v > obj_probe:
-                    return False
-                if obj_sign < 0 and r[1] <= 0 and v < -obj_probe:
-                    return False
+            if hi is not None and v > hi or lo is not None and v < lo:
+                return None
             if abs(v) > box:
                 clipped = True
-                return False
-        return True
+                return None
+        return tuple(out)
 
     def check_final(values) -> bool:
         for i, d in enumerate(tracked):
@@ -382,10 +292,10 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence,
                 pending = False
                 continue
             values = arrive(nxt, zero)
-            if values is not None and admit(values):
+            if values is not None:
                 push(nxt, values, via - {nxt}, (nxt, None))
             continue
-        if len(visited) > limits.max_configs:
+        if len(visited) > max_configs:
             return CoreResult(EXHAUSTED, tracked=tuple(tracked), clipped=True)
         node, values, missing, trail = stack.pop()
         if not missing and oracle.is_final(node) and check_final(values):
@@ -399,23 +309,46 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence,
                 collected.add(values[t_pos[objective[0]]])
         for succ in oracle.successors(node):
             nvalues = arrive(succ, values)
-            if nvalues is not None and admit(nvalues):
+            if nvalues is not None:
                 push(succ, nvalues, missing - {succ}, (succ, trail))
     if collect and first is not None:
         first.clipped = clipped
         first.values = collected
         return first
     if clipped:
-        if _certify_empty(oracle, bounds, objective, limits):
+        if _certify_empty(oracle, bounds, objective, max_configs):
             return CoreResult(EMPTY, tracked=tuple(tracked))
         return CoreResult(EXHAUSTED, tracked=tuple(tracked), clipped=True)
     return CoreResult(EMPTY, tracked=tuple(tracked))
 
 
-_EXPLORE_CAP = 20_000
+_EXPLORE_CAP = 20_000  # product nodes the emptiness certificate may explore
+# pumpable-cycle search around an extremal witness
+_EXPLORE_NODES = 4000
+_MAX_CYCLE_LEN = 24
+_MAX_CYCLES = 300
 
 
-def _certify_empty(oracle: AnswerOracle, bounds, objective, limits) -> bool:
+def _explore(o: AnswerOracle, seeds, limit: int):
+    """Breadth-first adjacency of the product region reachable from the
+    seeds; expansion stops once `limit` nodes have been seen.  Returns the
+    adjacency of the expanded nodes and whether unexpanded nodes remain."""
+    queue = deque(dict.fromkeys(seeds))
+    seen = set(queue)
+    adj: Dict[ProductNode, List[ProductNode]] = {}
+    while queue and len(seen) < limit:
+        u = queue.popleft()
+        succs = list(o.successors(u))
+        adj[u] = succs
+        for w in succs:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return adj, bool(queue)
+
+
+def _certify_empty(oracle: AnswerOracle, bounds, objective,
+                   max_configs: int) -> bool:
     """Emptiness certificates that survive counter clipping.
 
     Either no final node is structurally reachable, or along every run some
@@ -423,28 +356,13 @@ def _certify_empty(oracle: AnswerOracle, bounds, objective, limits) -> bool:
     shortest/longest-run relaxation per dimension over the live subgraph,
     abandoned for dimensions influenced by an improving cycle).
     """
-    cap = min(limits.max_configs, _EXPLORE_CAP)
-    adj: Dict[ProductNode, List[ProductNode]] = {}
-    seen = set()
-    stack = []
-    for init in oracle.initials():
-        if init not in seen:
-            seen.add(init)
-            stack.append(init)
-        if len(seen) > cap:
-            return False
-    initials = list(seen)
-    while stack:
-        if len(seen) > cap:
-            return False
-        node = stack.pop()
-        succs = list(oracle.successors(node))
-        adj[node] = succs
-        for succ in succs:
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-    finals = [u for u in seen if oracle.is_final(u)]
+    initials = list(dict.fromkeys(oracle.initials()))
+    # give up when more than the cap of nodes is reachable
+    adj, cut = _explore(oracle, initials,
+                        min(max_configs, _EXPLORE_CAP) + 1)
+    if cut:
+        return False
+    finals = [u for u in adj if oracle.is_final(u)]
     if not finals:
         return True
 
@@ -534,11 +452,11 @@ def _derived_box(oracle, bounds, ranges) -> int:
 # Public operations over oracles
 # ---------------------------------------------------------------------------
 
-def emptiness(o: AnswerOracle, bounds: Sequence,
-              limits: Optional[SearchLimits] = None) -> bool:
+def emptiness(o: AnswerOracle, bounds: Sequence, *,
+              max_configs: int = MAX_CONFIGS, box: Optional[int] = None) -> bool:
     """Is the constrained path set empty?  Raises BoundExhausted when the
     search cannot decide within its box and budget."""
-    res = solve_core(o, bounds, limits=limits)
+    res = solve_core(o, bounds, max_configs=max_configs, box=box)
     if res.status == EXHAUSTED:
         raise BoundExhausted("emptiness undecided within the configured box")
     return res.status == EMPTY
@@ -576,15 +494,15 @@ def brute_force(o: AnswerOracle, bounds: Sequence, max_len: int):
 
 
 def find_witness(o: AnswerOracle, bounds: Sequence,
-                 limits: Optional[SearchLimits] = None,
-                 max_len: Optional[int] = None):
+                 max_len: Optional[int] = None, *,
+                 max_configs: int = MAX_CONFIGS, box: Optional[int] = None):
     """One feasible decoded run or None.  With `max_len` the search is a
     bounded enumeration and None never proves emptiness."""
     if max_len is not None:
         for decoded, _ in brute_force(o, bounds, max_len):
             return decoded
         return None
-    res = solve_core(o, bounds, limits=limits)
+    res = solve_core(o, bounds, max_configs=max_configs, box=box)
     if res.status == EXHAUSTED:
         raise BoundExhausted("witness search undecided")
     if res.status == EMPTY:
@@ -595,28 +513,6 @@ def find_witness(o: AnswerOracle, bounds: Sequence,
 # ---------------------------------------------------------------------------
 # Extremal values
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CycleLimits:
-    explore_nodes: int = 4000
-    max_cycle_len: int = 24
-    max_cycles: int = 300
-
-
-def _explore_adjacency(o: AnswerOracle, seeds, limit: int):
-    adj: Dict[ProductNode, List[ProductNode]] = {}
-    queue = deque(seeds)
-    seen = set(seeds)
-    while queue and len(seen) < limit:
-        u = queue.popleft()
-        succs = list(o.successors(u))
-        adj[u] = succs
-        for w in succs:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return adj
-
 
 def _cycles_at(adj, origin, max_len, max_cycles):
     out = []
@@ -654,30 +550,30 @@ def _improving(delta, bounds, obj_dim, sign) -> bool:
     return sign * delta[obj_dim] < 0
 
 
-def _has_improving_cycle(o, witness, bounds, obj_dim, sign, cy: CycleLimits,
-                         limits: SearchLimits):
+def _has_improving_cycle(o, witness, bounds, obj_dim, sign, max_configs, box):
     """A strictly improving feasibility-preserving cycle combination.
 
     Candidate cycles come from the explored region around the witness; each
     candidate is certified by re-running the search forced through the
     cycle's anchor node, so pumping it really embeds into a feasible run.
     """
-    adj = _explore_adjacency(o, list(dict.fromkeys(witness)), cy.explore_nodes)
+    adj, _ = _explore(o, witness, _EXPLORE_NODES)
     witness_set = set(witness)
     candidates: List[Tuple[ProductNode, Tuple]] = []
     for u in adj:
-        for cycle in _cycles_at(adj, u, cy.max_cycle_len, cy.max_cycles):
+        for cycle in _cycles_at(adj, u, _MAX_CYCLE_LEN, _MAX_CYCLES):
             d = _cycle_delta(o, cycle)
             if d is not None:
                 candidates.append((u, d))
-        if len(candidates) > cy.max_cycles:
+        if len(candidates) > _MAX_CYCLES:
             break
 
     def certified(anchors) -> bool:
         missing = frozenset(anchors) - witness_set
         if not missing:
             return True
-        res = solve_core(o, bounds, limits=limits, via=frozenset(anchors))
+        res = solve_core(o, bounds, via=frozenset(anchors),
+                         max_configs=max_configs, box=box)
         return res.status == FOUND
 
     for (u, d) in candidates:
@@ -694,8 +590,7 @@ def _has_improving_cycle(o, witness, bounds, obj_dim, sign, cy: CycleLimits,
 
 
 def extremal(o: AnswerOracle, objective: int, bounds: Sequence, direction: str,
-             limits: Optional[SearchLimits] = None,
-             cycles: Optional[CycleLimits] = None):
+             *, max_configs: int = MAX_CONFIGS, box: Optional[int] = None):
     """Minimum (maximum) of one weight dimension over all feasible runs.
 
     Empty run set yields +inf for min and -inf for max; a feasibility
@@ -707,12 +602,10 @@ def extremal(o: AnswerOracle, objective: int, bounds: Sequence, direction: str,
     infinite cases, and a single emptiness probe below the best value can
     still certify optimality.  Raises BoundExhausted when inconclusive.
     """
-    limits = limits or SearchLimits()
-    cycles = cycles or CycleLimits()
     sign = 1 if direction == "min" else -1
 
     base = solve_core(o, bounds, objective=(objective, sign, POS_INF),
-                      limits=limits, collect=True)
+                      collect=True, max_configs=max_configs, box=box)
     if base.status == EXHAUSTED:
         raise BoundExhausted("extremal search undecided")
     if base.status == EMPTY or not base.values:
@@ -728,14 +621,14 @@ def extremal(o: AnswerOracle, objective: int, bounds: Sequence, direction: str,
     if not base.clipped:
         return best
 
-    if _has_improving_cycle(o, base.witness, bounds, objective, sign, cycles,
-                            limits):
+    if _has_improving_cycle(o, base.witness, bounds, objective, sign,
+                            max_configs, box):
         return NEG_INF if direction == "min" else POS_INF
 
     if is_finite(best):
         res = solve_core(o, bounds,
                          objective=(objective, sign, sign * best - 1),
-                         limits=limits)
+                         max_configs=max_configs, box=box)
         if res.status == EMPTY:
             return best
     raise BoundExhausted("extremal value undecided within the counter box")

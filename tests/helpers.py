@@ -108,7 +108,7 @@ def certify_holds(q, g, sel=(), bound_paths=()):
 
     from opra.bruteforce import check_instantiation
     from opra.engine import Engine, _Prepared
-    from opra.product import build
+    from opra.product import AnswerOracle
     from opra.terms import extend
     from opra.vass import find_witness
 
@@ -124,7 +124,7 @@ def certify_holds(q, g, sel=(), bound_paths=()):
         env = dict(base_env)
         env.update(zip(quantified, combo))
         core = prep.core(env, bound, free)
-        oracle = build(core, gx)
+        oracle = AnswerOracle(core, gx)
         decoded = find_witness(oracle, prep.bounds)
         if decoded is None:
             continue

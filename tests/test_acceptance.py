@@ -47,7 +47,7 @@ from opra.graph import (
 )
 from opra.nfa import match_direct
 from opra.parser import parse
-from opra.product import build
+from opra.product import AnswerOracle
 from opra.render import render
 from opra.terms import extend
 
@@ -56,7 +56,8 @@ def report(line: str):
     print(f"\nPASS: {line}")
 
 
-def make_oracle(text, g, env=None, bound_paths=None, free=None):
+def make_oracle(text, g, env=None, bound_paths=None, free=None,
+                objective=None):
     q = parse(text)
     eng = Engine()
     gx = extend(g, q.ontologies, engine=eng)
@@ -64,8 +65,8 @@ def make_oracle(text, g, env=None, bound_paths=None, free=None):
     if free is None:
         free = list(q.quantified_paths())
         free += [p for p in q.select_paths if p not in (bound_paths or {})]
-    core = prep.core(dict(env or {}), dict(bound_paths or {}), free)
-    return build(core, gx), prep, q
+    core = prep.core(dict(env or {}), dict(bound_paths or {}), free, objective)
+    return AnswerOracle(core, gx), prep, q
 
 
 def answer_nodes(q, g):
@@ -264,7 +265,6 @@ class TestA4VassSolver:
 
     def test_improving_cycle_family(self):
         rng = random.Random(77)
-        from opra.engine import _with_objective
         from opra.graph import NEG_INF
         for i in range(50):
             n = rng.randint(2, 4)
@@ -280,10 +280,10 @@ class TestA4VassSolver:
             values[(c,)] = -rng.randint(1, 3)
             g = Graph(nodes, [Labelling("E", 2, edges, 0),
                               Labelling("val", 1, values, 0)])
-            o, prep, _ = make_oracle(
+            o2, prep, _ = make_oracle(
                 "SELECT NODES x, y, PATHS p SUCH THAT x -[p]-> y : E",
-                g, env={"x": nodes[0], "y": nodes[-1]}, free=["p"])
-            o2 = build(_with_objective(o.core, "val", "p"), o.graph)
+                g, env={"x": nodes[0], "y": nodes[-1]}, free=["p"],
+                objective=("val", "p"))
             assert vass.extremal(o2, 0, (POS_INF,), "min") is NEG_INF, i
         report("extremal unboundedness: 50 constructed instances with a "
                "feasible strictly improving cycle, all detected as -inf")

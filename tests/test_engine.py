@@ -2,6 +2,7 @@
 the brute-force reference on the query pool."""
 
 import random
+import threading
 
 import pytest
 from conftest import corpus_texts
@@ -10,11 +11,17 @@ from helpers import certify_holds, pool_queries, random_graph
 
 from opra.bruteforce import holds_brute
 from opra.engine import Engine, EngineLimits, answers, extremal, holds
-from opra.errors import RecursionLimit, UnknownNode, ValidationFailed
+from opra.errors import (
+    BoundExhausted,
+    RecursionLimit,
+    UnknownNode,
+    ValidationFailed,
+)
 from opra.graph import NEG_INF, POS_INF, Graph, Labelling
 from opra.model import RAlt
 from opra.parser import parse
 from opra.render import render
+from opra.terms import register_function
 
 
 class TestHolds:
@@ -62,6 +69,81 @@ class TestRecursionGuard:
         with pytest.raises(RecursionLimit):
             engine.holds(q, map_graph, ("S",))
         assert Engine().holds(q, map_graph, ("S",)) in (True, False)
+
+    def test_every_entry_point_counts_its_level(self, map_graph):
+        q = parse(corpus_texts()["q_route"])
+        engine = Engine(EngineLimits(recursion_limit=0))
+        with pytest.raises(RecursionLimit):
+            engine.holds(q, map_graph, ("S", "P"), (("S", "P"),))
+        with pytest.raises(RecursionLimit):
+            engine.answers(q, map_graph)
+        with pytest.raises(RecursionLimit):
+            engine.extremal("time", q, map_graph, {"x": "S", "y": "P"}, "min")
+
+
+class TestConcurrentDepth:
+    def test_threads_do_not_share_depth(self, map_graph):
+        """A thread held inside a nested subquery does not count towards
+        the nesting depth of another thread on the same engine."""
+        entered, release = threading.Event(), threading.Event()
+
+        def probe(value):
+            if threading.current_thread().name == "held-in-subquery" \
+                    and not entered.is_set():
+                entered.set()
+                release.wait(timeout=30)
+            return value
+
+        register_function("depth_probe", probe, arity=1)
+        q = parse("LET c(x) := [LET h(z) := depth_probe(time(z)) IN "
+                  "SELECT NODES x SUCH THAT x -[p]-> y : E "
+                  "HAVING h[p] <= 1000] IN "
+                  "SELECT NODES x SUCH THAT x -[p]-> x : E HAVING c[x] >= 1")
+        engine = Engine(EngineLimits(recursion_limit=2))
+        assert engine.holds(q, map_graph, ("S",))
+
+        held = {}
+
+        def run_held():
+            try:
+                held["result"] = engine.holds(q, map_graph, ("S",))
+            except Exception as exc:  # reported by the assertion below
+                held["result"] = exc
+
+        thread = threading.Thread(target=run_held, name="held-in-subquery")
+        thread.start()
+        try:
+            assert entered.wait(timeout=30)
+            other = engine.holds(q, map_graph, ("S",))
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert other is True
+        assert held["result"] is True
+
+
+class TestLimits:
+    """The engine's budget and counter box reach every search."""
+
+    def test_config_budget_holds(self, map_graph):
+        q = parse(corpus_texts()["q1"])
+        assert Engine().holds(q, map_graph, ("S", "P"))
+        with pytest.raises(BoundExhausted):
+            Engine(EngineLimits(max_configs=5)).holds(q, map_graph, ("S", "P"))
+
+    def test_counter_box_answers(self, map_graph):
+        q = parse(corpus_texts()["q1"])
+        assert answers(q, map_graph)[1]
+        result, complete = \
+            Engine(EngineLimits(counter_box=5)).answers(q, map_graph)
+        assert not complete
+
+    def test_config_budget_extremal(self, map_graph):
+        q = parse(corpus_texts()["q_route"])
+        with pytest.raises(BoundExhausted):
+            Engine(EngineLimits(max_configs=5)).extremal(
+                "time", q, map_graph, {"x": "S", "y": "P"}, "min")
 
 
 class TestCorpusSmoke:

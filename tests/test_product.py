@@ -14,7 +14,7 @@ from opra.graph import NEG_INF, POS_INF, SINK, Graph, Labelling, comb
 from opra.model import regex_variables
 from opra.nfa import match_direct
 from opra.parser import parse
-from opra.product import COUNTER_INF, ProductNode, build
+from opra.product import COUNTER_INF, AnswerOracle, ProductNode
 from opra.terms import extend
 from opra import vass
 
@@ -30,7 +30,7 @@ def make_oracle(text, g, env=None, bound_paths=None, free=None):
         free = list(q.quantified_paths())
         free += [p for p in q.select_paths if p not in bound_paths]
     core = prep.core(env, bound_paths, free)
-    return build(core, gx), prep, q
+    return AnswerOracle(core, gx), prep, q
 
 
 @pytest.fixture

@@ -1,5 +1,5 @@
-"""Z-reachability, the documented lazy reduction, brute force and extremal
-values with unboundedness detection."""
+"""Z-reachability, the constrained search over the lazy answer graph, brute
+force and extremal values with unboundedness detection."""
 
 import random
 
@@ -11,7 +11,7 @@ from opra.engine import Engine, _Prepared
 from opra.errors import BoundExhausted, DimensionMismatch
 from opra.graph import NEG_INF, POS_INF, Graph, Labelling
 from opra.parser import parse
-from opra.product import build
+from opra.product import AnswerOracle
 from opra.terms import extend
 from opra.vass import (
     BOUND_EXHAUSTED,
@@ -25,14 +25,12 @@ from opra.vass import (
     emptiness,
     extremal,
     find_witness,
-    from_answer_graph,
     replay,
-    solve_core,
     z_reachable,
 )
 
 
-def make_oracle(text, g, env=None, bound_paths=None):
+def make_oracle(text, g, env=None, bound_paths=None, objective=None):
     q = parse(text)
     eng = Engine()
     gx = extend(g, q.ontologies, engine=eng)
@@ -40,8 +38,8 @@ def make_oracle(text, g, env=None, bound_paths=None):
     bound = dict(bound_paths or {})
     free = [p for p in list(q.quantified_paths()) + list(q.select_paths)
             if p not in bound]
-    core = prep.core(dict(env or {}), bound, free)
-    return build(core, gx), prep
+    core = prep.core(dict(env or {}), bound, free, objective)
+    return AnswerOracle(core, gx), prep
 
 
 class TestZReachable:
@@ -115,15 +113,20 @@ class TestZReachable:
 
 
 class TestLazyReduction:
+    """The constrained search over the lazy answer graph: a feasible run
+    exists exactly when the decoded witness satisfies the query."""
+
     def test_matches_solver_on_map(self, map_graph):
         o, prep = make_oracle(
             "SELECT NODES x, y SUCH THAT x -[pi]-> y : E "
             "HAVING time[pi] <= 360 AND attr[pi] > 100",
             map_graph, env={"x": "S", "y": "P"})
-        lazy, s, t = from_answer_graph(o, tuple(prep.bounds))
-        res = z_reachable(lazy, Configuration(s, (0, 0)),
-                          Configuration(t, (0, 0)), max_configs=500_000)
-        assert res.status == WITNESS
+        (path,) = find_witness(o, prep.bounds)
+        assert path[0] == "S" and path[-1] == "P"
+        assert all(map_graph.lookup("E", step) != 0
+                   for step in zip(path, path[1:]))
+        assert sum(map_graph.lookup("time", (v,)) for v in path) <= 360
+        assert sum(map_graph.lookup("attr", (v,)) for v in path) > 100
         assert not emptiness(o, prep.bounds)
 
     def test_unsat_agrees(self, map_graph):
@@ -140,10 +143,9 @@ class TestLazyReduction:
             Graph(["a"], [Labelling("E", 2, {}, 0),
                           Labelling("time2", 1, {}, 0)]),
             env={"x": "a", "y": "a"})
-        lazy, s, t = from_answer_graph(o, (0,))
-        res = z_reachable(lazy, Configuration(s, (0,)), Configuration(t, (0,)))
         # single node, no self loop: only the one-node path remains
-        assert res.status == WITNESS  # path ("a",) with zero weight
+        assert find_witness(o, (0,)) == (("a",),)  # zero weight
+        assert not emptiness(o, (0,))
 
     def test_zero_weight_accept(self):
         g = Graph(["a"], [Labelling("E", 2, {("a", "a"): 1}, 0),
@@ -151,9 +153,9 @@ class TestLazyReduction:
         o, prep = make_oracle(
             "SELECT NODES x, y SUCH THAT x -[pi]-> y : E HAVING w[pi] <= 0",
             g, env={"x": "a", "y": "a"})
-        lazy, s, t = from_answer_graph(o, (0,))
-        res = z_reachable(lazy, Configuration(s, (0,)), Configuration(t, (0,)))
-        assert res.status == WITNESS
+        (path,) = find_witness(o, (0,))
+        assert set(path) == {"a"}
+        assert not emptiness(o, (0,))
 
 
 class TestEmptinessAndBrute:
@@ -226,41 +228,32 @@ class TestEmptinessAndBrute:
 
 class TestExtremal:
     def test_empty_min_is_pos_inf(self, map_graph):
-        o, prep = make_oracle(
+        # objective: extra dimension over time
+        o2, prep = make_oracle(
             "LET One(x) := 1 IN SELECT NODES x, y, PATHS pi "
             "SUCH THAT x -[pi]-> y : E HAVING One[pi] <= -1",
-            map_graph, env={"x": "S", "y": "P"})
-        # objective: extra dimension over time
-        from opra.engine import _with_objective
-        core = _with_objective(o.core, "time", "pi")
-        o2 = build(core, o.graph)
+            map_graph, env={"x": "S", "y": "P"}, objective=("time", "pi"))
         assert extremal(o2, len(prep.bounds), tuple(prep.bounds) + (POS_INF,),
                         "min") is POS_INF
 
     def test_pumpable_self_loop(self):
         g = Graph(["a"], [Labelling("E", 2, {("a", "a"): 1}, 0),
                           Labelling("w", 1, {("a",): -1}, 0)])
-        o, prep = make_oracle(
+        o2, prep = make_oracle(
             "SELECT NODES x, y, PATHS p SUCH THAT x -[p]-> y : E",
-            g, env={"x": "a", "y": "a"})
-        from opra.engine import _with_objective
-        o2 = build(_with_objective(o.core, "w", "p"), o.graph)
+            g, env={"x": "a", "y": "a"}, objective=("w", "p"))
         assert extremal(o2, 0, (POS_INF,), "min") is NEG_INF
 
     def test_min_time_route(self, map_graph):
-        o, prep = make_oracle(
+        o2, prep = make_oracle(
             "SELECT NODES x, y, PATHS rho SUCH THAT x -[rho]-> y : E",
-            map_graph, env={"x": "S", "y": "P"})
-        from opra.engine import _with_objective
-        o2 = build(_with_objective(o.core, "time", "rho"), o.graph)
+            map_graph, env={"x": "S", "y": "P"}, objective=("time", "rho"))
         assert extremal(o2, 0, (POS_INF,), "min") == 80
 
     def test_max_attr_unbounded(self, map_graph):
-        o, prep = make_oracle(
+        o2, prep = make_oracle(
             "SELECT NODES x, y, PATHS rho SUCH THAT x -[rho]-> y : E",
-            map_graph, env={"x": "S", "y": "P"})
-        from opra.engine import _with_objective
-        o2 = build(_with_objective(o.core, "attr", "rho"), o.graph)
+            map_graph, env={"x": "S", "y": "P"}, objective=("attr", "rho"))
         assert extremal(o2, 0, (POS_INF,), "max") is POS_INF
 
     def test_finite_min_consistency(self):
@@ -270,11 +263,9 @@ class TestExtremal:
             g = random_graph(rng, max_nodes=4, value_range=(0, 3))
             x = rng.choice(g.real_nodes)
             y = rng.choice(g.real_nodes)
-            o, prep = make_oracle(
+            o2, prep = make_oracle(
                 "SELECT NODES x, y, PATHS p SUCH THAT x -[p]-> y : E",
-                g, env={"x": x, "y": y})
-            from opra.engine import _with_objective
-            o2 = build(_with_objective(o.core, "val", "p"), o.graph)
+                g, env={"x": x, "y": y}, objective=("val", "p"))
             try:
                 value = extremal(o2, 0, (POS_INF,), "min")
             except BoundExhausted:
@@ -310,9 +301,8 @@ class TestExtremal:
             values[(c,)] = -rng.randint(1, 3)
             g = Graph(nodes, [Labelling("E", 2, edges, 0),
                               Labelling("val", 1, values, 0)])
-            o, prep = make_oracle(
+            o2, prep = make_oracle(
                 "SELECT NODES x, y, PATHS p SUCH THAT x -[p]-> y : E",
-                g, env={"x": nodes[0], "y": nodes[-1]})
-            from opra.engine import _with_objective
-            o2 = build(_with_objective(o.core, "val", "p"), o.graph)
+                g, env={"x": nodes[0], "y": nodes[-1]},
+                objective=("val", "p"))
             assert extremal(o2, 0, (POS_INF,), "min") is NEG_INF, i
