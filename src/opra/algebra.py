@@ -20,7 +20,6 @@ from .model import (
     Compare,
     NCConst,
     NCLabel,
-    NCSink,
     OntologyDef,
     PathConstraint,
     PosRef,

@@ -170,6 +170,8 @@ class Graph:
     of probing every node.
     """
 
+    depth = 0  # the plain graph is the bottom evaluation level
+
     def __init__(self, nodes: Iterable[NodeId],
                  labellings: Iterable[Labelling] = (),
                  magnitude_cap: int | None = DEFAULT_MAGNITUDE_CAP):
@@ -220,6 +222,13 @@ class Graph:
             return self.labellings[name]
         except KeyError:
             raise UnknownLabelling(name) from None
+
+    def arity_of(self, name: str) -> int:
+        return self.labelling(name).arity
+
+    def stored_values(self, name: str) -> Iterable[ExtInt]:
+        """The labelling's default and stored entries."""
+        return self.labelling(name).finite_values()
 
     def lookup(self, name: str, args: Sequence[NodeId]) -> ExtInt:
         lab = self.labelling(name)

@@ -211,9 +211,6 @@ class AnswerOracle:
                     yield from rec(idx + 1)
             partial[idx] = None
 
-        if k == 0:
-            yield from rec(0)
-            return
         yield from rec(0)
 
     def is_initial(self, u: ProductNode) -> bool:
@@ -405,22 +402,15 @@ class AnswerOracle:
 
     def _labelling_values(self, name: str):
         """All values a labelling can take, or None when not enumerable."""
-        from .terms import base_graph
-        base = base_graph(self.graph)
-        lab = base.labellings.get(name)
-        if lab is not None:
-            return list(lab.finite_values())
-        try:
-            arity = self.graph.arity_of(name)
-        except Exception:
-            return None
+        stored = self.graph.stored_values(name)
+        if stored is not None:
+            return list(stored)
+        arity = self.graph.arity_of(name)
         pool = list(self.graph.nodes)
         if len(pool) ** arity > self._AUX_RANGE_CAP:
             return None
-        out = []
-        for args in iproduct(pool, repeat=arity):
-            out.append(self.graph.lookup(name, args))
-        return out
+        return [self.graph.lookup(name, args)
+                for args in iproduct(pool, repeat=arity)]
 
     def weight_ranges(self):
         """Conservative per-dimension (lo, hi) bounds, None when unknown.

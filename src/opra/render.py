@@ -7,16 +7,12 @@ from .model import (
     ArithConstraint,
     Atom,
     BoundConst,
-    BoundLabel,
-    Compare,
     NCConst,
-    NCLabel,
     NCSink,
     OntologyDef,
     PathConstraint,
     PosRef,
     Query,
-    RAlt,
     RConcat,
     RLetter,
     RStar,

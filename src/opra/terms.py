@@ -1,8 +1,8 @@
 """Ontology term evaluation and graph extension with auxiliary labellings.
 
 Auxiliary labellings are defined by terms; an extended graph answers lookups
-for them on demand (with memoization) or materializes them eagerly.  Truth
-subqueries and path extrema delegate to the query engine.
+for them on demand, with memoization.  Truth subqueries and path extrema
+delegate to the query engine.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from .graph import (
     POS_INF,
     SINK,
     ExtInt,
-    Graph,
     ext_add,
     ext_cmp,
     ext_max,
@@ -34,6 +33,7 @@ from .model import (
     TPathExtremum,
     TSubquery,
     Term,
+    term_label_refs,
 )
 
 # ---------------------------------------------------------------------------
@@ -129,33 +129,36 @@ def eval_aggregate(fn: str, values) -> ExtInt:
 # Extended graphs
 # ---------------------------------------------------------------------------
 
-LAZY = "lazy"
-EAGER = "eager"
-
-
 class ExtendedGraph:
     """A graph plus ordered auxiliary labelling definitions.
 
-    Lookups of auxiliary names evaluate the defining term with earlier
-    auxiliaries visible; results are memoized (write-once per key), which the
-    eager mode simply pre-populates.  `depth` counts the extensions down to
-    the plain graph, so it is the nesting depth of the evaluation that made
-    this one.
+    There is one per evaluation level.  Each definition may use the graph
+    below and the definitions before it; the constructor rejects a reference
+    to the definition itself or to a later one, so lookups need no scoping.
+    Lookups of auxiliary names evaluate the defining term on demand and
+    memoize the result (write-once per key).  `depth` counts the extensions
+    down to the plain graph, so it is the nesting depth of the evaluation
+    that made this one.
     """
 
-    def __init__(self, base, defs: Iterable[OntologyDef], mode: str = LAZY,
-                 engine=None):
+    def __init__(self, base, defs: Iterable[OntologyDef], engine=None):
         self.base = base
-        self.depth = base.depth + 1 \
-            if isinstance(base, (ExtendedGraph, _UpTo)) else 1
+        self.depth = base.depth + 1
         self.defs: Tuple[OntologyDef, ...] = tuple(defs)
         self._by_name = {d.name: d for d in self.defs}
-        self._order = {d.name: i for i, d in enumerate(self.defs)}
         self._memo: Dict[Tuple[str, Tuple], ExtInt] = {}
-        self._engine = engine
-        self.mode = mode
-        if mode == EAGER:
-            self._materialize()
+        if engine is None:
+            engine = getattr(base, "engine", None)
+        if engine is None:
+            from . import engine as engine_mod
+            engine = engine_mod.DEFAULT_ENGINE
+        self.engine = engine
+        order = {d.name: i for i, d in enumerate(self.defs)}
+        for i, d in enumerate(self.defs):
+            for name in term_label_refs(d.body):
+                if order.get(name, -1) >= i:
+                    raise UnknownLabelling(
+                        f"labelling {name!r} defined later in the ontology")
 
     # -- graph protocol -------------------------------------------------------
 
@@ -183,17 +186,13 @@ class ExtendedGraph:
         d = self._by_name.get(name)
         if d is not None:
             return len(d.params)
-        if isinstance(self.base, (ExtendedGraph, _UpTo)):
-            return self.base.arity_of(name)
-        return self.base.labelling(name).arity
+        return self.base.arity_of(name)
 
-    def engine(self):
-        if self._engine is not None:
-            return self._engine
-        if isinstance(self.base, ExtendedGraph):
-            return self.base.engine()
-        from . import engine as engine_mod
-        return engine_mod.DEFAULT_ENGINE
+    def stored_values(self, name: str):
+        """The base graph's stored values; None for auxiliary names."""
+        if name in self._by_name:
+            return None
+        return self.base.stored_values(name)
 
     def lookup(self, name: str, args) -> ExtInt:
         args = tuple(args)
@@ -208,8 +207,7 @@ class ExtendedGraph:
         hit = self._memo.get(key)
         if hit is not None or key in self._memo:
             return hit
-        scope = _UpTo(self, self._order[name])
-        value = eval_term(d.body, scope, dict(zip(d.params, args)))
+        value = eval_term(d.body, self, dict(zip(d.params, args)))
         return self._memo.setdefault(key, value)
 
     def out_neighbours(self, name: str, u):
@@ -218,81 +216,10 @@ class ExtendedGraph:
             return None
         return self.base.out_neighbours(name, u)
 
-    def _materialize(self):
-        nodes = list(self.base.nodes)
-        for d in self.defs:
-            for args in _tuples(nodes, len(d.params)):
-                self.lookup(d.name, args)
 
-
-class _UpTo:
-    """View of an extended graph restricted to definitions before index i."""
-
-    __slots__ = ("_eg", "_limit")
-
-    def __init__(self, eg: ExtendedGraph, limit: int):
-        self._eg = eg
-        self._limit = limit
-
-    @property
-    def nodes(self):
-        return self._eg.nodes
-
-    @property
-    def real_nodes(self):
-        return self._eg.real_nodes
-
-    @property
-    def magnitude_cap(self):
-        return self._eg.magnitude_cap
-
-    @property
-    def depth(self):
-        return self._eg.depth
-
-    def has_node(self, v):
-        return self._eg.has_node(v)
-
-    def engine(self):
-        return self._eg.engine()
-
-    def schema(self) -> set:
-        out = self._eg.base.schema()
-        out.update((d.name, len(d.params)) for d in self._eg.defs[:self._limit])
-        return out
-
-    def arity_of(self, name: str) -> int:
-        for d in self._eg.defs[:self._limit]:
-            if d.name == name:
-                return len(d.params)
-        base = self._eg.base
-        if isinstance(base, (ExtendedGraph, _UpTo)):
-            return base.arity_of(name)
-        return base.labelling(name).arity
-
-    def lookup(self, name, args):
-        if name in self._eg._order and self._eg._order[name] >= self._limit:
-            raise UnknownLabelling(
-                f"labelling {name!r} defined later in the ontology")
-        return self._eg.lookup(name, args)
-
-    def out_neighbours(self, name, u):
-        return self._eg.out_neighbours(name, u)
-
-
-def _tuples(pool, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _tuples(pool, n - 1):
-        for v in pool:
-            yield (v,) + rest
-
-
-def extend(g, defs: Iterable[OntologyDef], mode: str = LAZY,
-           engine=None) -> ExtendedGraph:
+def extend(g, defs: Iterable[OntologyDef], engine=None) -> ExtendedGraph:
     """Extend a graph with auxiliary labellings, added left to right."""
-    return ExtendedGraph(g, defs, mode=mode, engine=engine)
+    return ExtendedGraph(g, defs, engine=engine)
 
 
 def resolve_bound(bound, gx) -> ExtInt:
@@ -301,12 +228,6 @@ def resolve_bound(bound, gx) -> ExtInt:
         return bound.value
     value = gx.lookup(bound.name, ())
     return ext_add(ext_mul(bound.sign, value), bound.offset)
-
-
-def base_graph(g) -> Graph:
-    while isinstance(g, (ExtendedGraph, _UpTo)):
-        g = g.base if isinstance(g, ExtendedGraph) else g._eg
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +263,11 @@ def eval_term(t: Term, g, env: Dict[str, object]) -> ExtInt:
                 values.append(eval_term(t.element, g, {t.var: v}))
         return eval_aggregate(t.fn, values)
     if isinstance(t, TSubquery):
-        eng = g.engine()
+        eng = g.engine
         nodes = tuple(env[v] for v in t.query.select_nodes)
         return _bool(eng.holds_on(t.query, g, nodes, ()))
     if isinstance(t, TPathExtremum):
-        eng = g.engine()
+        eng = g.engine
         bindings = {v: env[v] for v in t.query.select_nodes}
         return eng.extremal_on(t.labelling, t.query, g, bindings, t.direction)
     raise TypeError(f"unhandled term {t!r}")

@@ -30,7 +30,6 @@ from .model import (
     Compare,
     NCConst,
     NCLabel,
-    OntologyDef,
     PathConstraint,
     PosRef,
     Query,
@@ -39,9 +38,6 @@ from .model import (
     RLetter,
     RStar,
     Regex,
-    TApply,
-    TConst,
-    TLabel,
     Top,
 )
 

@@ -169,8 +169,6 @@ MAX_CONFIGS = 400_000  # default configuration budget of one search
 class CoreResult:
     status: str
     witness: Optional[List[ProductNode]] = None
-    final_vector: Optional[Tuple] = None
-    tracked: Tuple[int, ...] = ()
     clipped: bool = False
     values: Optional[set] = None  # collect mode: attainable objective values
 
@@ -296,15 +294,13 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence,
                 push(nxt, values, via - {nxt}, (nxt, None))
             continue
         if len(visited) > max_configs:
-            return CoreResult(EXHAUSTED, tracked=tuple(tracked), clipped=True)
+            return CoreResult(EXHAUSTED, clipped=True)
         node, values, missing, trail = stack.pop()
         if not missing and oracle.is_final(node) and check_final(values):
             if not collect:
-                return CoreResult(FOUND, _unwind(trail), values,
-                                  tuple(tracked), clipped)
+                return CoreResult(FOUND, _unwind(trail), clipped=clipped)
             if first is None:
-                first = CoreResult(FOUND, _unwind(trail), values,
-                                   tuple(tracked))
+                first = CoreResult(FOUND, _unwind(trail))
             if objective is not None:
                 collected.add(values[t_pos[objective[0]]])
         for succ in oracle.successors(node):
@@ -317,9 +313,9 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence,
         return first
     if clipped:
         if _certify_empty(oracle, bounds, objective, max_configs):
-            return CoreResult(EMPTY, tracked=tuple(tracked))
-        return CoreResult(EXHAUSTED, tracked=tuple(tracked), clipped=True)
-    return CoreResult(EMPTY, tracked=tuple(tracked))
+            return CoreResult(EMPTY)
+        return CoreResult(EXHAUSTED, clipped=True)
+    return CoreResult(EMPTY)
 
 
 _EXPLORE_CAP = 20_000  # product nodes the emptiness certificate may explore

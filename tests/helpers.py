@@ -178,22 +178,25 @@ def has_cycle(g: Graph) -> bool:
 
 
 def count_paths(g: Graph, src, dst, max_len: int) -> int:
-    """Number of distinct node sequences joining src to dst, length-bounded."""
+    """Number of distinct node sequences joining src to dst, length-bounded.
+
+    Counts walks of 1 to max(max_len, 1) nodes with a dynamic programme over
+    (length, end node): `ways[v]` is the number of walks of the current
+    length from src that end at v.
+    """
     edges = set(graph_edges(g))
+    succ: dict = {}
+    ways = {src: 1}
     total = 0
-    frontier = [(src,)]
-    for _ in range(max_len):
-        if not frontier:
-            break
-        nxt = []
-        for p in frontier:
-            if p[-1] == dst:
-                total += 1
-            for v in g.real_nodes:
-                if (p[-1], v) in edges and len(p) < max_len:
-                    nxt.append(p + (v,))
-        frontier = nxt
-    total += sum(1 for p in frontier if p and p[-1] == dst)
+    for _ in range(max(max_len, 1)):
+        total += ways.get(dst, 0)
+        nxt: dict = {}
+        for u, n in ways.items():
+            if u not in succ:
+                succ[u] = [v for v in g.real_nodes if (u, v) in edges]
+            for v in succ[u]:
+                nxt[v] = nxt.get(v, 0) + n
+        ways = nxt
     return total
 
 

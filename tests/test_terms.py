@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from helpers import random_graph
 
-from opra.errors import UndefinedInfinitySum
+import opra
+from opra.errors import UndefinedInfinitySum, UnknownLabelling
 from opra.graph import NEG_INF, POS_INF, SINK, ext_cmp
 from opra.model import (
     OntologyDef,
@@ -21,7 +22,7 @@ from opra.model import (
     TSubquery,
 )
 from opra.parser import parse
-from opra.terms import EAGER, LAZY, eval_aggregate, eval_term, extend
+from opra.terms import eval_aggregate, eval_term, extend
 
 ext_values = st.one_of(st.integers(-20, 20), st.just(POS_INF), st.just(NEG_INF))
 
@@ -125,27 +126,45 @@ class TestExtend:
         gx = extend(map_graph, defs)
         assert gx.lookup("b", ("T",)) == 41
 
-    def test_lazy_eager_agree(self, map_graph):
+    @staticmethod
+    def _lookups_agree(g, defs):
+        """Lookups on two extensions, made in opposite orders, agree and
+        equal the definition body evaluated directly."""
+        nodes = sorted(g.nodes, key=str)
+        keys = [(d, args) for d in defs
+                for args in iproduct(nodes, repeat=len(d.params))]
+        first, second, fresh = (extend(g, defs) for _ in range(3))
+        forward = {(d.name, args): first.lookup(d.name, args)
+                   for d, args in keys}
+        backward = {(d.name, args): second.lookup(d.name, args)
+                    for d, args in reversed(keys)}
+        assert forward == backward
+        for d, args in keys:
+            direct = eval_term(d.body, fresh, dict(zip(d.params, args)))
+            assert forward[d.name, args] == direct
+
+    def test_lookup_order_agrees(self, map_graph):
         defs = parse(
             "LET crowded(x) := [SELECT NODES x SUCH THAT x -[pi]-> y : E "
             "WHERE <TOP>* <attr(pi@0) > 100> HAVING time[pi] <= 10], "
             "sq(x) := attr(x) * attr(x) IN SELECT NODES x").ontologies
-        lazy = extend(map_graph, defs, mode=LAZY)
-        eager = extend(map_graph, defs, mode=EAGER)
-        for v in list(map_graph.nodes):
-            assert lazy.lookup("crowded", (v,)) == eager.lookup("crowded", (v,))
-            assert lazy.lookup("sq", (v,)) == eager.lookup("sq", (v,))
+        self._lookups_agree(map_graph, defs)
 
-    def test_lazy_eager_agree_random(self):
+    def test_lookup_order_agrees_random(self):
         rng = random.Random(5)
         defs = parse("LET a(x) := val(x) + 1, b(x, y) := a(x) * a(y) IN "
                      "SELECT NODES x").ontologies
         for _ in range(10):
             g = random_graph(rng, max_nodes=6)
-            lazy = extend(g, defs, mode=LAZY)
-            eager = extend(g, defs, mode=EAGER)
-            for args in iproduct(list(g.nodes), repeat=2):
-                assert lazy.lookup("b", args) == eager.lookup("b", args)
+            self._lookups_agree(g, defs)
+
+    @pytest.mark.parametrize("text", [
+        "LET a(x) := b(x), b(x) := 1 IN SELECT NODES x",
+        "LET a(x) := a(x) IN SELECT NODES x",
+    ])
+    def test_forward_and_self_references_rejected(self, map_graph, text):
+        with pytest.raises(UnknownLabelling, match="defined later"):
+            opra.extend(map_graph, parse(text).ontologies)
 
     def test_aggregate_counts_sink(self, map_graph):
         # the node pool of an aggregate is the full node set, sink included
