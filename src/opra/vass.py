@@ -343,25 +343,19 @@ def _explore(o: AnswerOracle, seeds, limit: int):
     return adj, bool(queue)
 
 
-def _certify_empty(oracle: AnswerOracle, bounds, objective,
-                   max_configs: int) -> bool:
-    """Emptiness certificates that survive counter clipping.
+def _live_region(oracle: AnswerOracle, max_configs: int):
+    """The product region that S-to-T runs can use.
 
-    Either no final node is structurally reachable, or along every run some
-    dimension's best possible total already violates its requirement (a
-    shortest/longest-run relaxation per dimension over the live subgraph,
-    abandoned for dimensions influenced by an improving cycle).
+    Returns (initials, adjacency, finals, live), where `live` holds the
+    explored nodes that reach a final (every explored node is reachable
+    from an initial), or None when more than the cap of nodes is reachable.
     """
     initials = list(dict.fromkeys(oracle.initials()))
-    # give up when more than the cap of nodes is reachable
     adj, cut = _explore(oracle, initials,
                         min(max_configs, _EXPLORE_CAP) + 1)
     if cut:
-        return False
+        return None
     finals = [u for u in adj if oracle.is_final(u)]
-    if not finals:
-        return True
-
     rev: Dict[ProductNode, List[ProductNode]] = {}
     for u, succs in adj.items():
         for w in succs:
@@ -374,6 +368,24 @@ def _certify_empty(oracle: AnswerOracle, bounds, objective,
             if p not in live:
                 live.add(p)
                 stack.append(p)
+    return initials, adj, finals, live
+
+
+def _certify_empty(oracle: AnswerOracle, bounds, objective,
+                   max_configs: int) -> bool:
+    """Emptiness certificates that survive counter clipping.
+
+    Either no final node is structurally reachable, or along every run some
+    dimension's best possible total already violates its requirement (a
+    shortest/longest-run relaxation per dimension over the live subgraph,
+    abandoned for dimensions influenced by an improving cycle).
+    """
+    region = _live_region(oracle, max_configs)
+    if region is None:
+        return False  # more than the cap of nodes is reachable
+    initials, adj, finals, live = region
+    if not finals:
+        return True
 
     final_set = set(finals)
     requirements = []
@@ -585,6 +597,53 @@ def _has_improving_cycle(o, witness, bounds, obj_dim, sign, max_configs, box):
     return False
 
 
+def _exact_extremum(o: AnswerOracle, objective: int, sign: int,
+                    max_configs: int):
+    """Signed extremum of one objective over all S-to-T runs, exactly.
+
+    Queue-based Bellman-Ford over the live product, each node weighted
+    with its own signed objective weight (the initial's included).  A node
+    relaxed along a walk of more than |live| nodes lies behind a live
+    improving cycle (Cherkassky & Goldberg, 1999): -inf for min, +inf for
+    max.  None when the region is cut or a live weight is infinite.
+    """
+    region = _live_region(o, max_configs)
+    if region is None:
+        return None
+    initials, adj, finals, live = region
+    weight = {}
+    for u in live:
+        w = o.weights(u)[objective]
+        if not is_finite(w):
+            return None
+        weight[u] = sign * w
+    starts = [u for u in initials if u in live]
+    if not starts:
+        return POS_INF if sign > 0 else NEG_INF
+    dist = {u: weight[u] for u in starts}
+    hops = dict.fromkeys(starts, 1)  # nodes on the walk behind dist[u]
+    queue = deque(starts)
+    queued = set(starts)
+    while queue:
+        u = queue.popleft()
+        queued.discard(u)
+        du, hv = dist[u], hops[u] + 1
+        for v in adj[u]:
+            if v not in live:
+                continue
+            d = du + weight[v]
+            if v in dist and d >= dist[v]:
+                continue
+            if hv > len(live):
+                return NEG_INF if sign > 0 else POS_INF
+            dist[v] = d
+            hops[v] = hv
+            if v not in queued:
+                queued.add(v)
+                queue.append(v)
+    return sign * min(dist[f] for f in finals)
+
+
 def extremal(o: AnswerOracle, objective: int, bounds: Sequence, direction: str,
              *, max_configs: int = MAX_CONFIGS, box: Optional[int] = None):
     """Minimum (maximum) of one weight dimension over all feasible runs.
@@ -592,13 +651,21 @@ def extremal(o: AnswerOracle, objective: int, bounds: Sequence, direction: str,
     Empty run set yields +inf for min and -inf for max; a feasibility
     preserving strictly improving cycle yields -inf (min) / +inf (max).
 
-    One collecting exploration enumerates every attainable value inside the
-    counter box; when nothing was clipped that set is complete and the
-    extremum exact.  Otherwise a pumpable-cycle certificate decides the
-    infinite cases, and a single emptiness probe below the best value can
-    still certify optimality.  Raises BoundExhausted when inconclusive.
+    When the objective is the only tracked dimension (every bound is +inf),
+    the extremum is a shortest-run value over the live product.  Finite
+    bounds, a region past the exploration cap and infinite live weights
+    take the enumeration instead: one collecting exploration lists every
+    attainable value inside the counter box; when nothing was clipped that
+    set is complete and the extremum exact.  Otherwise a pumpable-cycle
+    certificate decides the infinite cases, and a single emptiness probe
+    below the best value can still certify optimality.  Raises
+    BoundExhausted when inconclusive.
     """
     sign = 1 if direction == "min" else -1
+    if all(b is POS_INF for b in bounds):
+        exact = _exact_extremum(o, objective, sign, max_configs)
+        if exact is not None:
+            return exact
 
     base = solve_core(o, bounds, objective=(objective, sign, POS_INF),
                       collect=True, max_configs=max_configs, box=box)

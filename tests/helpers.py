@@ -30,6 +30,19 @@ def random_graph(rng: random.Random, max_nodes: int = 5, value_range=(-3, 3),
     ])
 
 
+def random_route_graph(rng: random.Random, n: int = 16, out_degree: int = 3,
+                       labels=(("time", 1, 60), ("attr", -5, 40))) -> Graph:
+    """`n` nodes with `out_degree` random successors each (self-loops
+    allowed) and one uniformly drawn unary labelling per (name, lo, hi)."""
+    nodes = [f"v{i:03d}" for i in range(n)]
+    edges = {(u, v): 1 for u in nodes for v in rng.sample(nodes, out_degree)}
+    labellings = [Labelling("E", 2, edges, 0)]
+    for name, lo, hi in labels:
+        labellings.append(Labelling(
+            name, 1, {(v,): rng.randint(lo, hi) for v in nodes}, 0))
+    return Graph(nodes, labellings)
+
+
 def graph_edges(g: Graph):
     lab = g.labellings["E"]
     return [k for k, v in lab.entries.items() if v != 0]
@@ -137,6 +150,27 @@ def certify_holds(q, g, sel=(), bound_paths=()):
     return False
 
 
+def prepare(text, g):
+    """The query compiled once against `g`, for binding many paths: (query,
+    extended graph, prepared query, a second extension of `g` for the
+    direct matcher)."""
+    from opra.engine import Engine, _Prepared
+    from opra.terms import extend
+
+    q = parse(text)
+    gx = extend(g, q.ontologies, engine=Engine())
+    return q, gx, _Prepared(q, gx), extend(g, q.ontologies)
+
+
+def has_bound_run(gx, prep, env, bound_paths) -> bool:
+    """Does the product have an S-to-T run with every path slot bound?"""
+    from opra import vass
+    from opra.product import AnswerOracle
+
+    o = AnswerOracle(prep.core(env, bound_paths, []), gx)
+    return vass.solve_core(o, prep.bounds).status == vass.FOUND
+
+
 # ---------------------------------------------------------------------------
 # Graph-algorithm oracles
 # ---------------------------------------------------------------------------
@@ -211,6 +245,92 @@ def unique_path_oracle(g: Graph, src, dst, max_len: int = 8):
         # conservative for the generated sizes
         return True if max_len >= 2 * len(g.real_nodes) + 2 else None
     return False
+
+
+# ---------------------------------------------------------------------------
+# Walk extrema over node weights: `labelling` summed over every node of a
+# walk of at least one node from src to dst (the route query's value)
+# ---------------------------------------------------------------------------
+
+def _node_weights(g: Graph, labelling: str):
+    lab = g.labellings[labelling]
+    return {v: lab.entries.get((v,), lab.default) for v in g.real_nodes}
+
+
+def _successors(g: Graph):
+    succ = {v: [] for v in g.real_nodes}
+    for (u, v) in graph_edges(g):
+        succ[u].append(v)
+    return succ
+
+
+def dijkstra_walk(g: Graph, labelling: str, src, dst):
+    """Minimal walk value for non-negative weights; +inf without a walk."""
+    import heapq
+    from opra.graph import POS_INF
+
+    weight = _node_weights(g, labelling)
+    assert all(w >= 0 for w in weight.values())
+    succ = _successors(g)
+    dist = {src: weight[src]}
+    heap = [(weight[src], src)]
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v in succ[u]:
+            if v not in dist or d + weight[v] < dist[v]:
+                dist[v] = d + weight[v]
+                heapq.heappush(heap, (dist[v], v))
+    return dist.get(dst, POS_INF)
+
+
+def bellman_ford_walk(g: Graph, labelling: str, src, dst, direction: str):
+    """Minimal (maximal) walk value for any weights: |V| - 1 rounds over
+    the nodes on some src-dst walk, then one more round that finds an
+    improving (negative for min, positive for max) cycle there: -inf
+    (+inf).  Without a walk +inf (-inf)."""
+    from opra.graph import NEG_INF, POS_INF
+
+    sign = 1 if direction == "min" else -1
+    weight = {v: sign * w for v, w in _node_weights(g, labelling).items()}
+    succ = _successors(g)
+    pred = {v: [] for v in g.real_nodes}
+    for u, vs in succ.items():
+        for v in vs:
+            pred[v].append(u)
+
+    def closure(start, step):
+        seen, stack = {start}, [start]
+        while stack:
+            for v in step[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return seen
+
+    on_walk = closure(src, succ) & closure(dst, pred)
+    if dst not in on_walk:
+        return POS_INF if sign > 0 else NEG_INF
+    edges = [(u, v) for u in on_walk for v in succ[u] if v in on_walk]
+    dist = {src: weight[src]}
+
+    def relax_round() -> bool:
+        changed = False
+        for u, v in edges:
+            if u in dist and (v not in dist or dist[u] + weight[v] < dist[v]):
+                dist[v] = dist[u] + weight[v]
+                changed = True
+        return changed
+
+    for _ in range(len(on_walk) - 1):
+        if not relax_round():
+            break
+    if relax_round():
+        return NEG_INF if sign > 0 else POS_INF
+    return sign * dist[dst]
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ from conftest import corpus_texts
 
 from helpers import (
     certify_holds,
+    has_bound_run,
     has_cycle,
     has_hamiltonian_cycle,
     pool_queries,
+    prepare,
     random_graph,
     unique_path_oracle,
     vass_reach_oracle,
@@ -191,7 +193,7 @@ class TestA3AnswerGraph:
         g4 = random_graph(rng, max_nodes=4, min_nodes=4)
         count = 0
         for text in self.QUERIES_1:
-            q = parse(text)
+            q, gx, prep, gx_direct = prepare(text, g4)
             pvar = q.select_paths[0]
             envs = [{}]
             if q.select_nodes:
@@ -199,31 +201,23 @@ class TestA3AnswerGraph:
                         for x in g4.real_nodes for y in g4.real_nodes]
             for env in envs:
                 for p in self._paths(g4.real_nodes, 5):
-                    o, prep, _ = make_oracle(text, g4, env=env,
-                                             bound_paths={pvar: p}, free=[])
-                    product_sat = vass.solve_core(o, prep.bounds).status == \
-                        vass.FOUND
-                    gx = extend(g4, q.ontologies)
-                    direct = check_instantiation(q, gx, env, {pvar: p})
+                    product_sat = has_bound_run(gx, prep, env, {pvar: p})
+                    direct = check_instantiation(q, gx_direct, env, {pvar: p})
                     assert product_sat == direct, (text, env, p)
                     count += 1
         g3 = random_graph(rng, max_nodes=3, min_nodes=3, edge_density=0.5)
         text2 = ("SELECT NODES x, y, PATHS p, q SUCH THAT x -[p]-> y : E "
                  "AND x -[q]-> y : E WHERE <p@0 = q@0 && p@0 != SINK> <TOP>*")
-        q2 = parse(text2)
+        q2, gx, prep, gx_direct = prepare(text2, g3)
         pool3 = self._paths(g3.real_nodes, 3)
         for x in g3.real_nodes:
             for y in g3.real_nodes:
+                env = {"x": x, "y": y}
                 for p1 in pool3:
                     for p2 in pool3:
-                        o, prep, _ = make_oracle(
-                            text2, g3, env={"x": x, "y": y},
-                            bound_paths={"p": p1, "q": p2}, free=[])
-                        product_sat = vass.solve_core(o, prep.bounds).status \
-                            == vass.FOUND
-                        gx = extend(g3, q2.ontologies)
-                        direct = check_instantiation(
-                            q2, gx, {"x": x, "y": y}, {"p": p1, "q": p2})
+                        bound = {"p": p1, "q": p2}
+                        product_sat = has_bound_run(gx, prep, env, bound)
+                        direct = check_instantiation(q2, gx_direct, env, bound)
                         assert product_sat == direct, (x, y, p1, p2)
                         count += 1
         report(f"answer graph vs direct matcher: {count} exhaustive tuples "

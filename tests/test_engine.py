@@ -7,9 +7,17 @@ import threading
 import pytest
 from conftest import corpus_texts
 
-from helpers import certify_holds, pool_queries, random_graph
+from helpers import (
+    bellman_ford_walk,
+    certify_holds,
+    dijkstra_walk,
+    pool_queries,
+    random_graph,
+    random_route_graph,
+)
 
-from opra.bruteforce import holds_brute
+from opra import vass
+from opra.bruteforce import atom_value, constrained_walks, holds_brute
 from opra.engine import Engine, EngineLimits, answers, extremal, holds
 from opra.errors import (
     BoundExhausted,
@@ -21,7 +29,7 @@ from opra.graph import NEG_INF, POS_INF, Graph, Labelling
 from opra.model import RAlt
 from opra.parser import parse
 from opra.render import render
-from opra.terms import register_function
+from opra.terms import extend, register_function
 
 
 class TestHolds:
@@ -229,6 +237,85 @@ class TestExtremal:
         # minimum over all routes out of S: the one-node route (S) itself
         q = parse("SELECT NODES x, PATHS p SUCH THAT x -[p]-> y : E")
         assert extremal("time", q, map_graph, {"x": "S"}, "min") == 10
+
+
+ROUTE = "SELECT NODES x, y, PATHS rho SUCH THAT x -[rho]-> y : E"
+
+
+class TestExtremaAgainstReference:
+    """Route extrema on seeded 16-node graphs, three random successors per
+    node, equal engine-free shortest and longest walk values."""
+
+    def test_min_time_max_attr(self):
+        q = parse(ROUTE)
+        rng = random.Random(5)
+        for _ in range(3):
+            g = random_route_graph(rng)
+            for _ in range(4):
+                x, y = rng.choice(g.real_nodes), rng.choice(g.real_nodes)
+                env = {"x": x, "y": y}
+                assert extremal("time", q, g, env, "min") == \
+                    dijkstra_walk(g, "time", x, y), (x, y)
+                assert extremal("attr", q, g, env, "max") == \
+                    bellman_ford_walk(g, "attr", x, y, "max"), (x, y)
+
+    def test_negative_weights(self):
+        """Min `attr` over every pair: finite values below zero on one
+        graph, negative cycles (-inf) on the other."""
+        q = parse(ROUTE)
+        kinds = set()
+        for attr in (("attr", -5, 40), ("attr", -20, 60)):
+            g = random_route_graph(random.Random(5),
+                                   labels=(("time", 1, 60), attr))
+            for x in g.real_nodes:
+                for y in g.real_nodes:
+                    want = bellman_ford_walk(g, "attr", x, y, "min")
+                    got = extremal("attr", q, g, {"x": x, "y": y}, "min")
+                    assert got == want, (attr, x, y)
+                    kinds.add("-inf" if want is NEG_INF else
+                              "below zero" if want < 0 else "other")
+        assert {"-inf", "below zero"} <= kinds
+
+
+class TestExtremaFallback:
+    """Extrema the shortest-run kernel leaves to the counter enumeration."""
+
+    @pytest.fixture
+    def collect_calls(self, monkeypatch):
+        calls = []
+        solve_core = vass.solve_core
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("collect", False))
+            return solve_core(*args, **kwargs)
+
+        monkeypatch.setattr(vass, "solve_core", spy)
+        return calls
+
+    def test_finite_bound(self, map_graph, collect_calls):
+        q = parse(ROUTE + " HAVING attr[rho] > 100")
+        gx = extend(map_graph, ())
+        walks = [p for p in constrained_walks(gx, map_graph, "S", "P", "E", 12)
+                 if atom_value(gx, "attr", [p]) > 100]
+        want = min(atom_value(gx, "time", [p]) for p in walks)
+        # any longer walk takes more time: 12 nodes, then P itself
+        fastest = min(gx.lookup("time", (v,)) for v in map_graph.real_nodes)
+        assert want < 12 * fastest + gx.lookup("time", ("P",))
+        assert extremal("time", q, map_graph,
+                        {"x": "S", "y": "P"}, "min") == want
+        assert True in collect_calls
+
+    def test_infinite_weight(self, collect_calls):
+        g = Graph(["a", "b", "c"], [
+            Labelling("E", 2, {("a", "b"): 1, ("b", "c"): 1,
+                               ("a", "c"): 1}, 0),
+            Labelling("time", 1, {("a",): 1, ("b",): POS_INF,
+                                  ("c",): 2}, 0)])
+        q = parse(ROUTE)
+        env = {"x": "a", "y": "c"}
+        assert extremal("time", q, g, env, "min") == 3
+        assert extremal("time", q, g, env, "max") is POS_INF
+        assert collect_calls == [True, True]
 
 
 class TestQuantifierMonotonicity:

@@ -6,8 +6,9 @@ from itertools import product as iproduct
 
 import pytest
 
-from helpers import random_graph
+from helpers import has_bound_run, prepare, random_graph
 
+from opra.bruteforce import check_instantiation
 from opra.engine import Engine, _Prepared, answers
 from opra.errors import NotAWitness
 from opra.graph import NEG_INF, POS_INF, SINK, Graph, Labelling, comb
@@ -267,17 +268,12 @@ class TestSoundnessCompleteness:
             out.extend(layer)
         return out
 
-    def _direct(self, q, g, env, paths_by_var):
-        from opra.bruteforce import check_instantiation
-        gx = extend(g, q.ontologies)
-        return check_instantiation(q, gx, env, paths_by_var)
-
     def test_one_path_exhaustive(self):
         rng = random.Random(31)
         g = random_graph(rng, max_nodes=4, min_nodes=4)
         paths = self._all_paths(g.real_nodes, 5)
         for text in self.QUERIES_1:
-            q = parse(text)
+            q, gx, prep, gx_direct = prepare(text, g)
             pvar = q.select_paths[0]
             envs = [{}]
             if q.select_nodes:
@@ -285,11 +281,8 @@ class TestSoundnessCompleteness:
                         for x in g.real_nodes for y in g.real_nodes]
             for env in envs:
                 for p in paths:
-                    o, prep, _ = make_oracle(text, g, env=env,
-                                             bound_paths={pvar: p}, free=[])
-                    product_sat = vass.solve_core(o, prep.bounds).status == \
-                        vass.FOUND
-                    direct = self._direct(q, g, env, {pvar: p})
+                    product_sat = has_bound_run(gx, prep, env, {pvar: p})
+                    direct = check_instantiation(q, gx_direct, env, {pvar: p})
                     assert product_sat == direct, (text, env, p)
 
     def test_two_paths_exhaustive(self):
@@ -297,19 +290,16 @@ class TestSoundnessCompleteness:
         g = random_graph(rng, max_nodes=3, min_nodes=3, edge_density=0.5)
         text = ("SELECT NODES x, y, PATHS p, q SUCH THAT x -[p]-> y : E "
                 "AND x -[q]-> y : E WHERE <p@0 = q@0 && p@0 != SINK> <TOP>*")
-        q = parse(text)
+        q, gx, prep, gx_direct = prepare(text, g)
         paths = self._all_paths(g.real_nodes, 3)
         for x in g.real_nodes:
             for y in g.real_nodes:
                 env = {"x": x, "y": y}
                 for p1 in paths:
                     for p2 in paths:
-                        o, prep, _ = make_oracle(
-                            text, g, env=env,
-                            bound_paths={"p": p1, "q": p2}, free=[])
-                        product_sat = vass.solve_core(o, prep.bounds).status \
-                            == vass.FOUND
-                        direct = self._direct(q, g, env, {"p": p1, "q": p2})
+                        bound = {"p": p1, "q": p2}
+                        product_sat = has_bound_run(gx, prep, env, bound)
+                        direct = check_instantiation(q, gx_direct, env, bound)
                         assert product_sat == direct, (env, p1, p2)
 
 
