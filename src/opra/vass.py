@@ -376,61 +376,87 @@ def _certify_empty(oracle: AnswerOracle, bounds, objective,
     """Emptiness certificates that survive counter clipping.
 
     Either no final node is structurally reachable, or along every run some
-    dimension's best possible total already violates its requirement (a
-    shortest/longest-run relaxation per dimension over the live subgraph,
-    abandoned for dimensions influenced by an improving cycle).
+    dimension's best possible total already violates its requirement (the
+    shortest run per dimension over the live region, abandoned for
+    dimensions fed by an improving cycle or an infinite weight).
     """
     region = _live_region(oracle, max_configs)
     if region is None:
         return False  # more than the cap of nodes is reachable
-    initials, adj, finals, live = region
+    finals = region[2]
     if not finals:
         return True
 
-    final_set = set(finals)
-    requirements = []
-    for i, b in enumerate(bounds):
-        if is_finite(b):
-            requirements.append((i, 1, b))
+    requirements = [(i, 1, b) for i, b in enumerate(bounds) if is_finite(b)]
     if objective is not None and is_finite(objective[2]):
         requirements.append(objective)
-
     for (dim, sign, limit) in requirements:
-        weights = {}
-        ok = True
-        for u in live:
-            w = oracle.weights(u)[dim]
-            if not is_finite(w):
-                ok = False
-                break
-            weights[u] = sign * w
-        if not ok:
-            continue
-        # best[u]: minimal signed total of a run from u to a final, inclusive
-        INF = None
-        best = {u: (weights[u] if u in final_set else INF) for u in live}
-        changed = True
-        rounds = 0
-        stable_at = len(live) + 1
-        while changed and rounds <= stable_at:
-            changed = False
-            rounds += 1
-            for u in live:
-                options = [best[w] + weights[u] for w in adj.get(u, ())
-                           if w in live and best[w] is not None]
-                if u in final_set:
-                    options.append(weights[u])
-                if options:
-                    cand = min(options)
-                    if best[u] is None or cand < best[u]:
-                        best[u] = cand
-                        changed = True
-        if changed:
-            continue  # an improving cycle feeds this dimension
-        entry = [best[u] for u in initials if u in live and best[u] is not None]
-        if not entry:
+        best = _best_run(oracle, region, dim, sign)
+        if best is not None and ext_cmp(best, limit) > 0:
             return True
-        if min(entry) > limit:
+    return False
+
+
+def _best_run(oracle: AnswerOracle, region, dim: int, sign: int):
+    """Least signed total of dimension `dim` over the runs of a live region.
+
+    Queue-based Bellman-Ford from the live initials, each node weighted
+    with its own signed weight (the initial's included).  The parent
+    pointers close a cycle only around an improving cycle, and a reachable
+    improving cycle drives some label below every simple-walk total, after
+    which they always hold one.  They are checked after every |live|
+    relaxations, O(1) per relaxation (Cherkassky & Goldberg, 1999).
+    Returns NEG_INF for an improving cycle, POS_INF when there is no run,
+    and None when a live weight is infinite.
+    """
+    initials, adj, finals, live = region
+    weight = {}
+    for u in live:
+        w = oracle.weights(u)[dim]
+        if not is_finite(w):
+            return None
+        weight[u] = sign * w
+    starts = [u for u in initials if u in live]
+    if not starts:
+        return POS_INF
+    dist = {u: weight[u] for u in starts}
+    parent = dict.fromkeys(starts)
+    queue = deque(starts)
+    queued = set(starts)
+    budget = len(live)
+    while queue:
+        u = queue.popleft()
+        queued.discard(u)
+        du = dist[u]
+        for v in adj[u]:
+            wv = weight.get(v)
+            if wv is None:
+                continue  # not live
+            d = du + wv
+            if v in dist and d >= dist[v]:
+                continue
+            dist[v] = d
+            parent[v] = u
+            budget -= 1
+            if not budget:
+                if _parent_cycle(parent):
+                    return NEG_INF
+                budget = len(live)
+            if v not in queued:
+                queued.add(v)
+                queue.append(v)
+    return min(dist[f] for f in finals)
+
+
+def _parent_cycle(parent) -> bool:
+    """Do the parent pointers of a Bellman-Ford search close a cycle?"""
+    walk_of = {}
+    for k, start in enumerate(parent):
+        u = start
+        while u is not None and u not in walk_of:
+            walk_of[u] = k
+            u = parent[u]
+        if u is not None and walk_of[u] == k:
             return True
     return False
 
@@ -597,53 +623,6 @@ def _has_improving_cycle(o, witness, bounds, obj_dim, sign, max_configs, box):
     return False
 
 
-def _exact_extremum(o: AnswerOracle, objective: int, sign: int,
-                    max_configs: int):
-    """Signed extremum of one objective over all S-to-T runs, exactly.
-
-    Queue-based Bellman-Ford over the live product, each node weighted
-    with its own signed objective weight (the initial's included).  A node
-    relaxed along a walk of more than |live| nodes lies behind a live
-    improving cycle (Cherkassky & Goldberg, 1999): -inf for min, +inf for
-    max.  None when the region is cut or a live weight is infinite.
-    """
-    region = _live_region(o, max_configs)
-    if region is None:
-        return None
-    initials, adj, finals, live = region
-    weight = {}
-    for u in live:
-        w = o.weights(u)[objective]
-        if not is_finite(w):
-            return None
-        weight[u] = sign * w
-    starts = [u for u in initials if u in live]
-    if not starts:
-        return POS_INF if sign > 0 else NEG_INF
-    dist = {u: weight[u] for u in starts}
-    hops = dict.fromkeys(starts, 1)  # nodes on the walk behind dist[u]
-    queue = deque(starts)
-    queued = set(starts)
-    while queue:
-        u = queue.popleft()
-        queued.discard(u)
-        du, hv = dist[u], hops[u] + 1
-        for v in adj[u]:
-            if v not in live:
-                continue
-            d = du + weight[v]
-            if v in dist and d >= dist[v]:
-                continue
-            if hv > len(live):
-                return NEG_INF if sign > 0 else POS_INF
-            dist[v] = d
-            hops[v] = hv
-            if v not in queued:
-                queued.add(v)
-                queue.append(v)
-    return sign * min(dist[f] for f in finals)
-
-
 def extremal(o: AnswerOracle, objective: int, bounds: Sequence, direction: str,
              *, max_configs: int = MAX_CONFIGS, box: Optional[int] = None):
     """Minimum (maximum) of one weight dimension over all feasible runs.
@@ -663,9 +642,11 @@ def extremal(o: AnswerOracle, objective: int, bounds: Sequence, direction: str,
     """
     sign = 1 if direction == "min" else -1
     if all(b is POS_INF for b in bounds):
-        exact = _exact_extremum(o, objective, sign, max_configs)
-        if exact is not None:
-            return exact
+        region = _live_region(o, max_configs)
+        if region is not None:
+            best = _best_run(o, region, objective, sign)
+            if best is not None:
+                return best if sign > 0 else -best
 
     base = solve_core(o, bounds, objective=(objective, sign, POS_INF),
                       collect=True, max_configs=max_configs, box=box)

@@ -242,8 +242,22 @@ class TestExtremal:
 ROUTE = "SELECT NODES x, y, PATHS rho SUCH THAT x -[rho]-> y : E"
 
 
+@pytest.fixture
+def collect_calls(monkeypatch):
+    """The `collect` flag of every counter search, in call order."""
+    calls = []
+    solve_core = vass.solve_core
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("collect", False))
+        return solve_core(*args, **kwargs)
+
+    monkeypatch.setattr(vass, "solve_core", spy)
+    return calls
+
+
 class TestExtremaAgainstReference:
-    """Route extrema on seeded 16-node graphs, three random successors per
+    """Route extrema on seeded random graphs, three random successors per
     node, equal engine-free shortest and longest walk values."""
 
     def test_min_time_max_attr(self):
@@ -276,21 +290,23 @@ class TestExtremaAgainstReference:
                               "below zero" if want < 0 else "other")
         assert {"-inf", "below zero"} <= kinds
 
+    def test_large_cyclic_region(self, collect_calls):
+        """Max `time` on about 2800 live product nodes is +inf; the parent
+        pointers close the cycle long before walks grow |live| nodes."""
+        q = parse(ROUTE)
+        g = random_route_graph(random.Random(3), n=3000)
+        for x, y in (("v000", "v005"), ("v001", "v007")):
+            env = {"x": x, "y": y}
+            assert extremal("time", q, g, env, "min") == \
+                dijkstra_walk(g, "time", x, y)
+            # a walk back from y closes a cycle through x and y
+            assert dijkstra_walk(g, "time", y, x) is not POS_INF
+            assert extremal("time", q, g, env, "max") is POS_INF
+        assert collect_calls == []
+
 
 class TestExtremaFallback:
     """Extrema the shortest-run kernel leaves to the counter enumeration."""
-
-    @pytest.fixture
-    def collect_calls(self, monkeypatch):
-        calls = []
-        solve_core = vass.solve_core
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs.get("collect", False))
-            return solve_core(*args, **kwargs)
-
-        monkeypatch.setattr(vass, "solve_core", spy)
-        return calls
 
     def test_finite_bound(self, map_graph, collect_calls):
         q = parse(ROUTE + " HAVING attr[rho] > 100")

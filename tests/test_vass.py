@@ -8,7 +8,7 @@ import pytest
 from helpers import random_graph, vass_reach_oracle
 
 from opra.engine import Engine, _Prepared
-from opra.errors import DimensionMismatch
+from opra.errors import BoundExhausted, DimensionMismatch
 from opra.graph import NEG_INF, POS_INF, Graph, Labelling
 from opra.parser import parse
 from opra.product import AnswerOracle
@@ -218,6 +218,24 @@ class TestEmptinessAndBrute:
             loose = emptiness(o, (3,))
             if not tight:
                 assert not loose
+
+    def test_certificate_after_clipping(self):
+        """The box clips `u`, which the b-c cycle lowers without end; every
+        run has `w` total 6, so the certificate decides on `w` alone."""
+        g = Graph(["a", "b", "c"], [
+            Labelling("E", 2, {("a", "b"): 1, ("b", "c"): 1,
+                               ("c", "b"): 1}, 0),
+            Labelling("w", 1, {("a",): 5, ("b",): 1, ("c",): -1}, 0),
+            Labelling("u", 1, {("c",): -1}, 0)])
+        text = ("SELECT NODES x, y SUCH THAT x -[p]-> y : E "
+                "HAVING w[p] <= {} AND u[p] <= {}")
+        env = {"x": "a", "y": "b"}
+        o, prep = make_oracle(text.format(5, 100), g, env=env)
+        assert emptiness(o, prep.bounds, box=20)
+        # w <= 6 is met, u <= -1000 lies past the box: undecided
+        o, prep = make_oracle(text.format(6, -1000), g, env=env)
+        with pytest.raises(BoundExhausted):
+            emptiness(o, prep.bounds, box=20)
 
     def test_max_len_zero(self):
         g = Graph(["a"], [Labelling("E", 2, {}, 0)])
