@@ -2,7 +2,9 @@
 
 Free and quantified node variables are ground by enumeration over the
 non-sink nodes; path variables become product slots (bound slots replay
-given paths, free slots are searched).  Ontology terms see the engine
+given paths, free slots are searched).  `answers` leaves a selected node
+variable open when it is only the target of one path, so one search per
+source serves every target.  Ontology terms see the engine
 through the extended graph, so truth subqueries and path extrema recurse
 into the same machinery.
 """
@@ -18,7 +20,7 @@ from .graph import NEG_INF, POS_INF, ext_max, ext_min
 from .model import Query, letter_refs, regex_variables, require_valid
 from .nfa import compile as nfa_compile
 from .nfa import pad_extend
-from .product import AnswerOracle, CompiledCore, DimSpec, SlotSpec
+from .product import OPEN, AnswerOracle, CompiledCore, DimSpec, SlotSpec
 from .terms import ExtendedGraph, extend, resolve_bound
 from . import vass
 
@@ -58,6 +60,9 @@ class _Prepared:
         self.slot_vars = list(q.select_paths) \
             + sorted(coerced) \
             + list(q.quantified_paths())
+        self.select_slots = tuple(self.slot_vars.index(v)
+                                  for v in q.select_paths)
+        self.open_target = _open_target(q, self.pc_by_var)
 
     def core(self, env: Dict[str, object], bound_paths: Dict[str, Tuple],
              free_vars: Sequence[str],
@@ -93,6 +98,10 @@ class _Prepared:
                      for terms in dim_terms)
         return CompiledCore(tuple(slots), nfas, dims)
 
+    def witness(self, decoded: Tuple) -> Tuple:
+        """The selected paths of a decoded run."""
+        return tuple(decoded[i] for i in self.select_slots)
+
     def oracles(self, base_env: Dict[str, object],
                 bound_paths: Dict[str, Tuple], free_vars: Sequence[str],
                 objective: Optional[Tuple[str, str]] = None):
@@ -104,6 +113,20 @@ class _Prepared:
             env.update(zip(free, combo))
             yield AnswerOracle(
                 self.core(env, bound_paths, free_vars, objective), self.gx)
+
+
+def _open_target(q: Query, pc_by_var) -> Optional[str]:
+    """The last selected node variable whose only use is as the target of
+    one path constraint over a path slot of its own; one search from each
+    binding of the others then serves every value of it."""
+    coerced, node_vars = q.coerced_node_vars(), q.node_vars()
+    for y in reversed(q.select_nodes):
+        uses = [pc for pc in q.path_constraints if y in (pc.source, pc.target)]
+        if len(uses) == 1 and uses[0].source != y and y not in coerced \
+                and uses[0].path not in node_vars \
+                and len(pc_by_var[uses[0].path]) == 1:
+            return y
+    return None
 
 
 def _offset_minus_vars(regex) -> set:
@@ -149,6 +172,8 @@ class Engine:
         require_valid(q, g.schema())
         gx = self._extend(q, g)
         prepared = _Prepared(q, gx)
+        if prepared.open_target is not None and max_witness_len is None:
+            return self._answers_per_source(prepared)
         complete = True
         out = set()
         n_sel = len(q.select_nodes)
@@ -240,6 +265,46 @@ class Engine:
                 f"nested evaluation deeper than {self.limits.recursion_limit}")
         return gx
 
+    def _answers_per_source(self, prepared: _Prepared):
+        """`answers` with one search per binding of the selected variables
+        other than the open target, which serves every target it reaches.
+        A target such a search left unsettled (budget or box) takes the
+        per-tuple search."""
+        q = prepared.query
+        nodes = prepared.gx.real_nodes
+        y = prepared.open_target
+        others = [v for v in q.select_nodes if v != y]
+        free_vars = list(q.select_paths) + list(q.quantified_paths())
+        complete = True
+        out = set()
+        for combo in iproduct(nodes, repeat=len(others)):
+            sel_env = dict(zip(others, combo))
+            sel_env[y] = OPEN
+            found: Dict[object, Tuple] = {}
+            settled = True
+            for oracle in prepared.oracles(sel_env, {}, free_vars):
+                decoded, ok = vass.witnesses_by_end(
+                    oracle, prepared.bounds,
+                    max_configs=self.limits.max_configs,
+                    box=self.limits.counter_box)
+                settled = settled and ok
+                for end, run in decoded.items():
+                    found.setdefault(end, prepared.witness(run))
+                if len(found) == len(nodes):
+                    break
+            for v in nodes:
+                sel_env[y] = v
+                tup = tuple(sel_env[s] for s in q.select_nodes)
+                if v in found:
+                    out.add((tup, found[v]))
+                elif not settled:
+                    witness, ok = self._find_answer(prepared, dict(sel_env),
+                                                    None)
+                    complete = complete and ok
+                    if witness is not None:
+                        out.add((tup, witness))
+        return out, complete
+
     def _find_answer(self, prepared: _Prepared, sel_env: Dict[str, object],
                      max_witness_len: Optional[int]):
         """One witness for the selected paths, or (None, conclusive flag)."""
@@ -256,9 +321,7 @@ class Engine:
                 exhausted = True
                 continue
             if decoded is not None:
-                slot_of = {s.var: i for i, s in enumerate(oracle.core.slots)}
-                witness = tuple(decoded[slot_of[v]] for v in q.select_paths)
-                return witness, True
+                return prepared.witness(decoded), True
         if max_witness_len is not None:
             # a bounded search that found nothing proves nothing
             return None, False

@@ -6,6 +6,10 @@ are searched) and a counter that saturates once past the longest bound path.
 The full node set is never materialized; `successors`/`is_edge` answer
 locally, which is what keeps evaluation lazy.
 
+A free slot whose constraint target is `OPEN` may end at any node.  Once
+it has finished, the product node remembers where (`end`), so one search
+from a source keeps the runs to different targets apart.
+
 Two details make the product agree exactly with the direct semantics:
 
 * an automaton takes its padding self-loop exactly while all of its tracked
@@ -29,17 +33,31 @@ from .nfa import PAD, UNKNOWN as _UNKNOWN, Nfa, eval_letter, eval_letter_maybe
 COUNTER_INF = -1  # the saturated counter value
 
 
+class _Open:
+    """The target of a path constraint left open: any node ends the path."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "OPEN"
+
+
+OPEN = _Open()
+
+
 class ProductNode:
     """One answer-graph node; hash precomputed (these live in hot sets)."""
 
-    __slots__ = ("states", "counter", "nodes", "prevs", "_hash")
+    __slots__ = ("states", "counter", "nodes", "prevs", "end", "_hash")
 
-    def __init__(self, states, counter, nodes, prevs):
+    def __init__(self, states, counter, nodes, prevs, end=None):
         self.states = states
         self.counter = counter
         self.nodes = nodes
         self.prevs = prevs  # previous nodes, only for slots that need them
-        self._hash = hash((states, counter, nodes, prevs))
+        self.end = end  # last node of the open slot once it has finished
+        self._hash = hash((states, counter, nodes, prevs)) if end is None \
+            else hash((states, counter, nodes, prevs, end))
 
     def __hash__(self):
         return self._hash
@@ -49,18 +67,21 @@ class ProductNode:
             return True
         return isinstance(other, ProductNode) and self._hash == other._hash \
             and self.counter == other.counter and self.nodes == other.nodes \
-            and self.states == other.states and self.prevs == other.prevs
+            and self.states == other.states and self.prevs == other.prevs \
+            and self.end == other.end
 
     def __repr__(self):
+        end = "" if self.end is None else f", end={self.end!r}"
         return (f"ProductNode(states={self.states!r}, counter={self.counter!r}, "
-                f"nodes={self.nodes!r}, prevs={self.prevs!r})")
+                f"nodes={self.nodes!r}, prevs={self.prevs!r}{end})")
 
 
 @dataclass(frozen=True)
 class SlotSpec:
     var: str
     bound_path: Optional[Tuple[object, ...]]  # None for free slots
-    constraints: Tuple[Tuple[object, object, str], ...]  # (src, tgt, edge lab)
+    # (src, tgt, edge lab); tgt is OPEN for a path that may end anywhere
+    constraints: Tuple[Tuple[object, object, str], ...]
     track_prev: bool
 
 
@@ -103,6 +124,10 @@ class AnswerOracle:
         self.N = max(1, max(bound_lengths, default=0))
         self._tracked = tuple(i for i, s in enumerate(core.slots) if s.track_prev)
         self._prev_pos = {i: p for p, i in enumerate(self._tracked)}
+        # the engine leaves at most one target open
+        self.open_slot = next(
+            (i for i, s in enumerate(core.slots)
+             if any(tgt is OPEN for (_, tgt, _) in s.constraints)), None)
         self._triggers = self._join_order_triggers()
         self._touched: Dict[ProductNode, ProductNode] = {}
         self._final_cache: Dict[ProductNode, bool] = {}
@@ -214,7 +239,8 @@ class AnswerOracle:
         yield from rec(0)
 
     def is_initial(self, u: ProductNode) -> bool:
-        if u.counter != 1 or any(p is not SINK for p in u.prevs):
+        if u.counter != 1 or u.end is not None \
+                or any(p is not SINK for p in u.prevs):
             return False
         for (nfa, _), s in zip(self.core.nfas, u.states):
             if s not in nfa.initials:
@@ -257,7 +283,7 @@ class AnswerOracle:
         if not slot.constraints:
             return [SINK, *self.graph.real_nodes]
         out: List[object] = []
-        if all(cur == tgt for (_, tgt, _) in slot.constraints):
+        if all(tgt is OPEN or cur == tgt for (_, tgt, _) in slot.constraints):
             out.append(SINK)
         edges = [edge for (_, _, edge) in slot.constraints]
         pool = self.graph.out_neighbours(edges[0], cur)
@@ -290,6 +316,14 @@ class AnswerOracle:
         return sorted(set(_targets(nfa, (u.states[ai],), window, pad,
                                    self.graph, eval_letter)))
 
+    def _end_after(self, u: ProductNode, next_nodes: Tuple):
+        """The open slot's end on the step u -> next_nodes: its last node,
+        set on the step that finishes it and kept from then on."""
+        o = self.open_slot
+        if o is None or u.end is not None or next_nodes[o] is not SINK:
+            return u.end
+        return u.nodes[o]
+
     def _nfa_moves(self, u: ProductNode, next_nodes: Tuple):
         """Per automaton, the list of reachable next states on this edge."""
         all_moves = []
@@ -321,6 +355,7 @@ class AnswerOracle:
                 per_slot.append(cands)
         triggers = self._triggers
         prevs = self._prevs_for(u.nodes)
+        opened = self.open_slot is not None
         k = self.k
         partial: List[object] = [None] * k
         # each automaton's next states, computed once its last slot is
@@ -333,9 +368,10 @@ class AnswerOracle:
         def rec(idx: int):
             if idx == k:
                 nodes = tuple(partial)
+                end = self._end_after(u, nodes) if opened else None
                 for states in iproduct(*moves):
                     yield self._touch(ProductNode(tuple(states), j2,
-                                                  nodes, prevs))
+                                                  nodes, prevs, end))
                 return
             for v in per_slot[idx]:
                 partial[idx] = v
@@ -352,7 +388,8 @@ class AnswerOracle:
     def is_edge(self, u: ProductNode, w: ProductNode) -> bool:
         if w.counter != self._next_counter(u.counter):
             return False
-        if w.prevs != self._prevs_for(u.nodes):
+        if w.prevs != self._prevs_for(u.nodes) \
+                or w.end != self._end_after(u, w.nodes):
             return False
         for i, slot in enumerate(self.slots):
             cur, nxt = u.nodes[i], w.nodes[i]
@@ -363,7 +400,8 @@ class AnswerOracle:
                 if nxt is not SINK:
                     return False
             elif nxt is SINK:
-                if any(cur != tgt for (_, tgt, _) in slot.constraints):
+                if any(tgt is not OPEN and cur != tgt
+                       for (_, tgt, _) in slot.constraints):
                     return False
             else:
                 for (_, _, edge) in slot.constraints:

@@ -171,6 +171,7 @@ class CoreResult:
     witness: Optional[List[ProductNode]] = None
     clipped: bool = False
     values: Optional[set] = None  # collect mode: attainable objective values
+    runs: Optional[Dict[object, List[ProductNode]]] = None  # per end node
 
 
 def solve_core(oracle: AnswerOracle, bounds: Sequence,
@@ -191,6 +192,10 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence,
 
     When the box clips the counter space, a weight-free reachability pass
     can still certify emptiness structurally.
+
+    When the oracle leaves a target open, the search keeps the first run per
+    end node in `runs` and goes on until every node has one or the space is
+    exhausted.
     """
     dims = len(oracle.core.dims)
     if len(bounds) != dims:
@@ -276,6 +281,9 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence,
             visited.add(key)
             stack.append((node, values, missing, trail))
 
+    runs: Optional[Dict[object, List[ProductNode]]] = \
+        None if oracle.open_slot is None else {}
+    n_ends = len(oracle.graph.real_nodes)
     zero = tuple(0 for _ in tracked)
     init_iter = oracle.initials()
     pending = True
@@ -294,9 +302,16 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence,
                 push(nxt, values, via - {nxt}, (nxt, None))
             continue
         if len(visited) > max_configs:
-            return CoreResult(EXHAUSTED, clipped=True)
+            return CoreResult(EXHAUSTED, clipped=True, runs=runs)
         node, values, missing, trail = stack.pop()
         if not missing and oracle.is_final(node) and check_final(values):
+            if runs is not None:
+                # every run through a final node ends where it does
+                if node.end not in runs:
+                    runs[node.end] = _unwind(trail)
+                    if len(runs) == n_ends:
+                        break
+                continue
             if not collect:
                 return CoreResult(FOUND, _unwind(trail), clipped=clipped)
             if first is None:
@@ -307,6 +322,9 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence,
             nvalues = arrive(succ, values)
             if nvalues is not None:
                 push(succ, nvalues, missing - {succ}, (succ, trail))
+    if runs:
+        return CoreResult(FOUND, next(iter(runs.values())), clipped=clipped,
+                          runs=runs)
     if collect and first is not None:
         first.clipped = clipped
         first.values = collected
@@ -525,6 +543,17 @@ def brute_force(o: AnswerOracle, bounds: Sequence, max_len: int):
     for init in o.initials():
         vec = tuple(ext_add(a, b) for a, b in zip(zero, o.weights(init)))
         yield from rec(init, vec, [init])
+
+
+def witnesses_by_end(o: AnswerOracle, bounds: Sequence, *,
+                     max_configs: int = MAX_CONFIGS,
+                     box: Optional[int] = None):
+    """For an oracle with an open target: one decoded feasible run per end
+    node reached, and whether the search settled the other end nodes (it
+    neither ran out of its budget nor was clipped by the box)."""
+    res = solve_core(o, bounds, max_configs=max_configs, box=box)
+    decoded = {end: o.decode(run) for end, run in (res.runs or {}).items()}
+    return decoded, res.status != EXHAUSTED and not res.clipped
 
 
 def find_witness(o: AnswerOracle, bounds: Sequence,

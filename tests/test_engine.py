@@ -3,6 +3,8 @@ the brute-force reference on the query pool."""
 
 import random
 import threading
+from dataclasses import replace
+from itertools import product as iproduct
 
 import pytest
 from conftest import corpus_texts
@@ -18,7 +20,14 @@ from helpers import (
 
 from opra import vass
 from opra.bruteforce import atom_value, constrained_walks, holds_brute
-from opra.engine import Engine, EngineLimits, answers, extremal, holds
+from opra.engine import (
+    Engine,
+    EngineLimits,
+    _Prepared,
+    answers,
+    extremal,
+    holds,
+)
 from opra.errors import (
     BoundExhausted,
     RecursionLimit,
@@ -332,6 +341,85 @@ class TestExtremaFallback:
         assert extremal("time", q, g, env, "min") == 3
         assert extremal("time", q, g, env, "max") is POS_INF
         assert collect_calls == [True, True]
+
+
+class TestPerSourceAnswers:
+    """`answers` searches once per source when the selected target is only
+    a path endpoint, and agrees with the per-tuple fold everywhere."""
+
+    def test_one_search_per_source(self, map_graph, collect_calls):
+        texts = corpus_texts()
+        result, complete = answers(parse(texts["q_route"]), map_graph)
+        assert complete and len(result) == 25
+        assert len(collect_calls) == 5
+        # q8 coerces y into a path position, q10 ends two paths at y
+        for name in ("q8", "q10"):
+            collect_calls.clear()
+            answers(parse(texts[name]), map_graph)
+            assert collect_calls.count(False) == 25, name
+
+    def test_agrees_with_per_tuple_fold(self, monkeypatch):
+        """Same node sets and `complete` flags as `Engine._find_answer` per
+        tuple; under a tiny budget only undecided tuples may differ."""
+        fallbacks = set()  # (query, exact) whose source search fell back
+        case = [None]
+        find_answer = Engine._find_answer
+
+        def spy(engine, prepared, sel_env, max_witness_len):
+            if case[0] is not None and prepared.open_target is not None:
+                fallbacks.add(case[0])
+            return find_answer(engine, prepared, sel_env, max_witness_len)
+
+        monkeypatch.setattr(Engine, "_find_answer", spy)
+        rng = random.Random(1010)
+        graphs = [random_graph(rng, max_nodes=4, min_nodes=2)
+                  for _ in range(8)]
+        queries = []
+        for name, q, _ in pool_queries():
+            if not q.select_paths:
+                # selecting the paths too makes every witness checkable
+                queries += [(name, q),
+                            (name, replace(q, select_paths=q.quantified_paths()))]
+        for limits, exact in ((EngineLimits(), True),
+                              (EngineLimits(max_configs=50), False)):
+            engine = Engine(limits)
+            for g_idx, g in enumerate(graphs):
+                for name, q in queries:
+                    case[0] = None
+                    found, undecided = _per_tuple_fold(engine, q, g)
+                    case[0] = (name, exact)
+                    result, complete = engine.answers(q, g)
+                    nodes = {t for t, _ in result}
+                    where = (name, g_idx, limits)
+                    if exact:
+                        assert nodes == found and complete == (not undecided), \
+                            where
+                    else:
+                        assert found <= nodes <= found | undecided, where
+                        assert complete or undecided, where
+                    if q.select_paths:
+                        # every path is bound: checked at its own length
+                        for sel, witness in result:
+                            assert holds_brute(q, g, sel, witness), \
+                                (where, sel)
+        # the box clips sum-bound's negative cycles, and the tiny budget
+        # cuts source searches short
+        assert {("sum-bound", True), ("sum-bound", False)} <= fallbacks
+
+
+def _per_tuple_fold(engine, q, g):
+    """Tuples that `Engine._find_answer` answers, and those it leaves
+    inconclusive."""
+    prepared = _Prepared(q, engine._extend(q, g))
+    found, undecided = set(), set()
+    for sel in iproduct(g.real_nodes, repeat=len(q.select_nodes)):
+        witness, ok = engine._find_answer(
+            prepared, dict(zip(q.select_nodes, sel)), None)
+        if witness is not None:
+            found.add(sel)
+        elif not ok:
+            undecided.add(sel)
+    return found, undecided
 
 
 class TestQuantifierMonotonicity:

@@ -9,13 +9,13 @@ import pytest
 from helpers import has_bound_run, prepare, random_graph
 
 from opra.bruteforce import check_instantiation
-from opra.engine import Engine, _Prepared, answers
+from opra.engine import Engine, _Prepared, answers, holds
 from opra.errors import NotAWitness
 from opra.graph import NEG_INF, POS_INF, SINK, Graph, Labelling, comb
 from opra.model import regex_variables
 from opra.nfa import match_direct
 from opra.parser import parse
-from opra.product import COUNTER_INF, AnswerOracle, ProductNode
+from opra.product import OPEN, COUNTER_INF, AnswerOracle, ProductNode
 from opra.terms import extend
 from opra import vass
 
@@ -245,6 +245,45 @@ class TestDecode:
         assert res.status == vass.FOUND
         decoded = o.decode(res.witness)
         assert decoded[0][0] == "S" and decoded[0][-1] == "P"
+
+
+class TestOpenTarget:
+    """A path whose target is left open ends anywhere; the product node
+    remembers where once the path has finished."""
+
+    def test_end_remembered(self):
+        g = Graph(["a", "b", "c"], [Labelling(
+            "E", 2, {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 1}, 0)])
+        o, _, _ = make_oracle("SELECT NODES x, y SUCH THAT x -[p]-> y : E",
+                              g, env={"x": "a", "y": OPEN})
+        u = next(iter(o.initials()))
+        assert u.end is None
+        ends = {}
+        for w in o.successors(u):
+            assert o.is_edge(u, w)
+            ends[w.nodes] = w.end
+        assert ends == {(SINK,): "a", ("b",): None, ("c",): None}
+        b = ProductNode((), COUNTER_INF, ("b",), ())
+        (done,) = [w for w in o.successors(b) if w.nodes == (SINK,)]
+        assert done.end == "b" and o.is_final(done)
+        # finished elsewhere: the same slots and counter, another node
+        assert done != ProductNode((), COUNTER_INF, (SINK,), (), "a")
+        assert not o.is_edge(b, ProductNode((), COUNTER_INF, (SINK,), (), "a"))
+        assert [w.end for w in o.successors(done)] == ["b"]
+
+    def test_one_run_per_end(self, map_graph):
+        text = ("SELECT NODES x, y SUCH THAT x -[pi]-> y : E "
+                "HAVING time[pi] <= 360 AND attr[pi] > 100")
+        for x, unreached in (("S", set()), ("W", {"W"})):
+            o, prep, q = make_oracle(text, map_graph, env={"x": x, "y": OPEN})
+            res = vass.solve_core(o, prep.bounds)
+            assert res.status == vass.FOUND and not res.clipped
+            assert set(res.runs) == {y for y in map_graph.real_nodes
+                                     if holds(q, map_graph, (x, y))}
+            assert set(res.runs) == set(map_graph.real_nodes) - unreached
+            for end, run in res.runs.items():
+                (path,) = o.decode(run)
+                assert path[0] == x and path[-1] == end
 
 
 class TestSoundnessCompleteness:
