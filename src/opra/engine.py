@@ -28,7 +28,9 @@ from . import vass
 @dataclass
 class EngineLimits:
     """Per-search configuration budget, counter box (None derives one from
-    the weights and bounds) and the depth of nested evaluations."""
+    the weights and bounds) and the depth of nested evaluations.  For an
+    extremum, `max_configs` also caps the product nodes of its live region,
+    and the labels and label comparisons of its search."""
     max_configs: int = vass.MAX_CONFIGS
     counter_box: Optional[int] = None
     recursion_limit: int = 64

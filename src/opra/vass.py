@@ -1,11 +1,13 @@
-"""Z-reachability on integer-vector-labelled graphs and constrained search
-over answer oracles.
+"""Z-reachability on integer-vector-labelled graphs, and constrained search
+and extrema over answer oracles.
 
 The solver works at desk scale: configuration-space search over
 (node, counter vector) clamped to a box, with an explicit inconclusive
 status whenever the box or the exploration budget is exhausted, never a
 wrong answer.  Dimensions whose per-step weights cannot go negative are
-pruned as soon as they exceed their bound.
+pruned as soon as they exceed their bound.  Extrema take one label kernel
+over the live product region, a label being a product node plus the
+values of the bounded dimensions.
 
 Infinite bounds and infinite atom values are handled semantically: a
 dimension that reaches minus infinity is satisfied forever, one that
@@ -16,10 +18,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import BoundExhausted, DimensionMismatch
-from .graph import NEG_INF, POS_INF, SINK, ext_add, ext_cmp, ext_mul, is_finite
+from .errors import BoundExhausted, DimensionMismatch, UndefinedInfinitySum
+from .graph import NEG_INF, POS_INF, SINK, ext_add, ext_cmp, ext_min, is_finite
 from .product import COUNTER_INF, AnswerOracle, ProductNode
 
 WITNESS = "witness"
@@ -170,22 +174,16 @@ class CoreResult:
     status: str
     witness: Optional[List[ProductNode]] = None
     clipped: bool = False
-    values: Optional[set] = None  # collect mode: attainable objective values
     runs: Optional[Dict[object, List[ProductNode]]] = None  # per end node
 
 
-def solve_core(oracle: AnswerOracle, bounds: Sequence,
-               objective: Optional[Tuple[int, int, object]] = None,
-               via: frozenset = frozenset(),
-               collect: bool = False, *,
+def solve_core(oracle: AnswerOracle, bounds: Sequence, *,
                max_configs: int = MAX_CONFIGS,
                box: Optional[int] = None) -> CoreResult:
     """Find an S-to-T run whose accumulated weights satisfy the bounds.
 
     `bounds` are extended integers per dimension (POS_INF drops a dimension
-    from tracking).  `objective` is (dim, sign, probe): additionally require
-    sign * value[dim] <= probe at the target.  `via` lists product nodes the
-    run must visit.  Depth-first with a visited set over (node, tracked
+    from tracking).  Depth-first with a visited set over (node, tracked
     values); deterministic order.  More than `max_configs` visited
     configurations give up; `box` clamps counter magnitudes (None derives
     one from the weights and bounds).
@@ -202,32 +200,14 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence,
         raise DimensionMismatch(f"{len(bounds)} bounds for {dims} dimensions")
 
     tracked = [i for i, b in enumerate(bounds) if b is not POS_INF]
-    if objective is not None and objective[0] not in tracked:
-        tracked.append(objective[0])
-        tracked.sort()
-    t_pos = {d: i for i, d in enumerate(tracked)}
-    obj_dim, obj_sign, obj_probe = objective if objective else (None, 0, None)
-
     ranges = oracle.weight_ranges()
     if box is None:
         box = _derived_box(oracle, bounds, ranges)
 
-    # per tracked dimension, the values past which a configuration is dead:
-    # above `hi` (below `lo`) when the weights there can only grow (shrink)
-    his, los = [], []
-    for d in tracked:
-        r, b = ranges[d], bounds[d]
-        hi = lo = None
-        if r is not None:
-            if r[0] >= 0 and is_finite(b):
-                hi = b
-            if d == obj_dim and is_finite(obj_probe):
-                if obj_sign > 0 and r[0] >= 0:
-                    hi = obj_probe if hi is None else min(hi, obj_probe)
-                if obj_sign < 0 and r[1] <= 0:
-                    lo = -obj_probe
-        his.append(hi)
-        los.append(lo)
+    # per tracked dimension, the value above which a configuration is dead
+    # because the weights there can only grow
+    his = [bounds[d] if _direction(ranges[d], bounds[d]) > 0 else None
+           for d in tracked]
     weights = oracle.weights
     clipped = False
 
@@ -244,15 +224,12 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence,
             else:
                 nv = ext_add(v, wd)
                 if nv is POS_INF:
-                    if bounds[d] is not POS_INF:
-                        return None  # can never meet a finite or -inf bound
-                    if d == obj_dim and obj_sign > 0:
-                        return None  # minimization probe can never pass
+                    return None  # can never meet a finite or -inf bound
             out.append(nv)
-        for v, hi, lo in zip(out, his, los):
+        for v, hi in zip(out, his):
             if type(v) is not int:
                 continue
-            if hi is not None and v > hi or lo is not None and v < lo:
+            if hi is not None and v > hi:
                 return None
             if abs(v) > box:
                 clipped = True
@@ -261,25 +238,18 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence,
 
     def check_final(values) -> bool:
         for i, d in enumerate(tracked):
-            b = bounds[d]
-            if b is POS_INF:
-                continue
-            if ext_cmp(values[i], b) > 0:
-                return False
-        if obj_dim is not None:
-            v = values[t_pos[obj_dim]]
-            if ext_cmp(ext_mul(obj_sign, v), obj_probe) > 0:
+            if ext_cmp(values[i], bounds[d]) > 0:
                 return False
         return True
 
     visited = set()
-    stack: List[Tuple[ProductNode, Tuple, frozenset, Tuple]] = []
+    stack: List[Tuple[ProductNode, Tuple, Tuple]] = []
 
-    def push(node, values, missing, trail):
-        key = (node, values, missing)
+    def push(node, values, trail):
+        key = (node, values)
         if key not in visited:
             visited.add(key)
-            stack.append((node, values, missing, trail))
+            stack.append((node, values, trail))
 
     runs: Optional[Dict[object, List[ProductNode]]] = \
         None if oracle.open_slot is None else {}
@@ -287,8 +257,6 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence,
     zero = tuple(0 for _ in tracked)
     init_iter = oracle.initials()
     pending = True
-    collected: set = set()
-    first: Optional[CoreResult] = None
     while True:
         if not stack:
             if not pending:
@@ -299,12 +267,12 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence,
                 continue
             values = arrive(nxt, zero)
             if values is not None:
-                push(nxt, values, via - {nxt}, (nxt, None))
+                push(nxt, values, (nxt, None))
             continue
         if len(visited) > max_configs:
             return CoreResult(EXHAUSTED, clipped=True, runs=runs)
-        node, values, missing, trail = stack.pop()
-        if not missing and oracle.is_final(node) and check_final(values):
+        node, values, trail = stack.pop()
+        if oracle.is_final(node) and check_final(values):
             if runs is not None:
                 # every run through a final node ends where it does
                 if node.end not in runs:
@@ -312,162 +280,293 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence,
                     if len(runs) == n_ends:
                         break
                 continue
-            if not collect:
-                return CoreResult(FOUND, _unwind(trail), clipped=clipped)
-            if first is None:
-                first = CoreResult(FOUND, _unwind(trail))
-            if objective is not None:
-                collected.add(values[t_pos[objective[0]]])
+            return CoreResult(FOUND, _unwind(trail), clipped=clipped)
         for succ in oracle.successors(node):
             nvalues = arrive(succ, values)
             if nvalues is not None:
-                push(succ, nvalues, missing - {succ}, (succ, trail))
+                push(succ, nvalues, (succ, trail))
     if runs:
         return CoreResult(FOUND, next(iter(runs.values())), clipped=clipped,
                           runs=runs)
-    if collect and first is not None:
-        first.clipped = clipped
-        first.values = collected
-        return first
     if clipped:
-        if _certify_empty(oracle, bounds, objective, max_configs):
+        if _certify_empty(oracle, bounds, max_configs):
             return CoreResult(EMPTY)
         return CoreResult(EXHAUSTED, clipped=True)
     return CoreResult(EMPTY)
 
 
-_EXPLORE_CAP = 20_000  # product nodes the emptiness certificate may explore
-# pumpable-cycle search around an extremal witness
-_EXPLORE_NODES = 4000
-_MAX_CYCLE_LEN = 24
-_MAX_CYCLES = 300
-
-
-def _explore(o: AnswerOracle, seeds, limit: int):
-    """Breadth-first adjacency of the product region reachable from the
-    seeds; expansion stops once `limit` nodes have been seen.  Returns the
-    adjacency of the expanded nodes and whether unexpanded nodes remain."""
-    queue = deque(dict.fromkeys(seeds))
-    seen = set(queue)
-    adj: Dict[ProductNode, List[ProductNode]] = {}
-    while queue and len(seen) < limit:
-        u = queue.popleft()
-        succs = list(o.successors(u))
-        adj[u] = succs
-        for w in succs:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return adj, bool(queue)
+def _direction(rng, bound) -> int:
+    """1 when a dimension's weights can only grow towards its finite bound
+    (a value above it is dead), -1 when they can only shrink, else 0."""
+    if rng is None or not is_finite(bound):
+        return 0
+    return 1 if rng[0] >= 0 else -1 if rng[1] <= 0 else 0
 
 
 def _live_region(oracle: AnswerOracle, max_configs: int):
     """The product region that S-to-T runs can use.
 
-    Returns (initials, adjacency, finals, live), where `live` holds the
-    explored nodes that reach a final (every explored node is reachable
-    from an initial), or None when more than the cap of nodes is reachable.
+    Returns (initials, adjacency, finals, live): breadth-first from the
+    initials, with `live` holding the nodes that reach a final; None when
+    more than `max_configs` nodes are reachable.
     """
     initials = list(dict.fromkeys(oracle.initials()))
-    adj, cut = _explore(oracle, initials,
-                        min(max_configs, _EXPLORE_CAP) + 1)
-    if cut:
-        return None
-    finals = [u for u in adj if oracle.is_final(u)]
+    queue = deque(initials)
+    seen = set(initials)
+    adj: Dict[ProductNode, List[ProductNode]] = {}
     rev: Dict[ProductNode, List[ProductNode]] = {}
-    for u, succs in adj.items():
+    while queue:
+        if len(seen) > max_configs:
+            return None
+        u = queue.popleft()
+        adj[u] = succs = list(oracle.successors(u))
         for w in succs:
             rev.setdefault(w, []).append(u)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    finals = [u for u in adj if oracle.is_final(u)]
     live = set(finals)
     stack = list(finals)
     while stack:
-        u = stack.pop()
-        for p in rev.get(u, ()):
+        for p in rev.get(stack.pop(), ()):
             if p not in live:
                 live.add(p)
                 stack.append(p)
     return initials, adj, finals, live
 
 
-def _certify_empty(oracle: AnswerOracle, bounds, objective,
-                   max_configs: int) -> bool:
+def _certify_empty(oracle: AnswerOracle, bounds, max_configs: int) -> bool:
     """Emptiness certificates that survive counter clipping.
 
     Either no final node is structurally reachable, or along every run some
-    dimension's best possible total already violates its requirement (the
+    dimension's best possible total already violates its bound (the
     shortest run per dimension over the live region, abandoned for
-    dimensions fed by an improving cycle or an infinite weight).
+    dimensions the kernel cannot decide).
     """
     region = _live_region(oracle, max_configs)
     if region is None:
-        return False  # more than the cap of nodes is reachable
-    finals = region[2]
-    if not finals:
+        return False  # more than the budget of nodes is reachable
+    if not region[2]:
+        return True
+    return any(is_finite(limit) and
+               ext_cmp(_least(oracle, region, dim, 1, max_configs), limit) > 0
+               for dim, limit in enumerate(bounds))
+
+
+def _least(oracle: AnswerOracle, region, dim: int, sign: int,
+           max_configs: int):
+    """A lower bound of the signed totals of `dim` over all runs of the
+    region, bounds ignored: the least one, or NEG_INF when undecided."""
+    try:
+        return _best_run(oracle, region, dim, sign,
+                         (POS_INF,) * len(oracle.core.dims), max_configs)
+    except (BoundExhausted, UndefinedInfinitySum):
+        return NEG_INF
+
+
+def _le(a, b) -> bool:
+    return a <= b if type(a) is int and type(b) is int else ext_cmp(a, b) <= 0
+
+
+def _best_run(oracle: AnswerOracle, region, dim: int, sign: int, bounds,
+              max_configs: int, box: Optional[int] = None):
+    """Least signed total of dimension `dim` over the feasible runs of a
+    live region; POS_INF when there is none.
+
+    A label is a live node plus the values of the bounded dimensions (bound
+    not +inf), each node adding its own weights.  A dimension that can
+    only grow is dead above its bound, one that can only shrink is clamped
+    at its bound once it meets it, and any other is dropped above the
+    counter box and clamped at its floor, a clip either way.  A label is
+    dropped once its signed total is +inf, and when another at its node is
+    no worse in every value and in the total (Irnich & Desaulniers, 2005).
+
+    With no negative live signed weight, labels are settled in objective
+    order.  Otherwise the search is a first-in-first-out Bellman-Ford (a
+    heap can take exponential time there) whose parent pointers, checked
+    after every |labels| relaxations, close a cycle only around an
+    improving cycle, and always do once a reachable one has driven some
+    label below every simple-walk total (Cherkassky & Goldberg, 1999).  A
+    label that outdoes its own ancestor closes one too.  Such a cycle gives
+    NEG_INF once the label's walk goes on to a feasible final without a
+    +inf weight; otherwise all labels on that walk are dead.  The search
+    stops once a feasible final meets the least total with the bounds
+    dropped.  Raises BoundExhausted once labels plus label comparisons pass
+    `max_configs`, and when a clip might hide a better run.
+    """
+    initials, adj, finals, live = region
+    weights = oracle.weights
+    cost = {u: weights(u)[dim] for u in live}
+    if sign < 0:
+        cost = {u: -w for u, w in cost.items()}
+    settle = all(type(w) is int and w >= 0 or w is POS_INF
+                 for w in cost.values())
+    caps = [(d, b) for d, b in enumerate(bounds) if b is not POS_INF]
+    if caps:
+        ranges = oracle.weight_ranges()
+        caps = [(d, b, _direction(ranges[d], b)) for d, b in caps]
+        if box is None:
+            box = _derived_box(oracle, bounds, ranges)
+    clip_low = POS_INF  # least signed total of a clipped label
+    best = POS_INF  # least signed total of a feasible final label
+
+    def carry(values, u, total):
+        """Bounded values after node `u`, or None; clips book `total`."""
+        nonlocal clip_low
+        w = weights(u)
+        out = []
+        for v, (d, b, direction) in zip(values, caps):
+            nv = ext_add(v, w[d])
+            if type(nv) is int:
+                if direction > 0 and nv > b:
+                    return None
+                if direction < 0:
+                    nv = max(nv, b)
+                elif not direction and abs(nv) > box:
+                    clip_low = ext_min(clip_low, total)
+                    if nv > 0:
+                        return None
+                    nv = -box  # stands for lower values, no less feasible
+            elif nv is POS_INF:
+                return None  # can never meet a finite or -inf bound
+            out.append(nv)
+        return tuple(out)
+
+    def feasible(values) -> bool:
+        return all(_le(v, cap[1]) for v, cap in zip(values, caps))
+
+    final = set(finals)
+    front: Dict[ProductNode, Dict] = {}  # node -> values -> total, live ones
+    # label key (node, values) -> parent key; None for roots and -inf labels
+    parent: Dict = {}
+    queue = [] if settle else deque()
+    queued = set()
+    dead = set()  # labels that cannot reach a feasible final
+    compared = 0  # label comparisons, charged to the budget with the labels
+    pumped = None  # a label closing an improving cycle
+    order = count()
+
+    def offer(v, values, total, pkey) -> bool:
+        """Keep a label unless one at `v` is no worse; True when kept."""
+        nonlocal best, compared, pumped
+        if total is POS_INF or dead and (v, values) in dead:
+            return False
+        labels = front.setdefault(v, {})
+        old = labels.get(values)
+        if old is not None:
+            if _le(old, total):
+                return False
+        elif labels:
+            compared += len(labels)
+            if any(_le(t, total) and all(map(_le, o, values))
+                   for o, t in labels.items()):
+                return False
+            for o in [o for o, t in labels.items()
+                      if _le(total, t) and all(map(_le, values, o))]:
+                # outdoing an ancestor closes a cycle that can be pumped
+                if labels.pop(o) != total and not settle \
+                        and _on_chain(parent, pkey, (v, o)):
+                    pumped = (v, values)
+        labels[values] = total
+        if v in final and (not caps or feasible(values)):
+            best = ext_min(best, total)
+        key = (v, values)
+        # a -inf label cannot improve, so it closes no improving cycle
+        parent[key] = None if total is NEG_INF else pkey
+        if len(parent) + compared > max_configs:
+            raise BoundExhausted("extremal search past its label budget")
+        if settle:
+            heappush(queue, (total, next(order), key))
+        elif key not in queued:
+            queued.add(key)
+            queue.append(key)
         return True
 
-    requirements = [(i, 1, b) for i, b in enumerate(bounds) if is_finite(b)]
-    if objective is not None and is_finite(objective[2]):
-        requirements.append(objective)
-    for (dim, sign, limit) in requirements:
-        best = _best_run(oracle, region, dim, sign)
-        if best is not None and ext_cmp(best, limit) > 0:
-            return True
+    def escapes(key) -> bool:
+        """Does the walk of label `key`, through an improving cycle, go on
+        to a feasible final without a +inf signed weight?  If not, every
+        label met on the way is dead; a clip on the way is booked."""
+        if not caps and POS_INF not in cost.values():
+            return True  # every live node reaches a final
+        seen = {key}
+        stack = [key]
+        while stack:
+            u, values = stack.pop()
+            if u in final and feasible(values):
+                return True
+            for v in adj[u]:
+                if cost.get(v, POS_INF) is POS_INF:
+                    continue  # not live, or worth +inf
+                nkey = (v, carry(values, v, NEG_INF) if caps else ())
+                if nkey[1] is not None and nkey not in seen \
+                        and nkey not in dead:
+                    seen.add(nkey)
+                    stack.append(nkey)
+            if len(seen) > max_configs:
+                raise BoundExhausted("extremal search past its label budget")
+        for u, values in seen:
+            front.get(u, {}).pop(values, None)
+        dead.update(seen)
+        return False
+
+    for u in initials:
+        values = None if u not in live else \
+            carry((0,) * len(caps), u, cost[u]) if caps else ()
+        if values is not None:
+            offer(u, values, cost[u], None)
+    # no run beats the least total with the bounds dropped
+    floor = _least(oracle, region, dim, sign, max_configs) if caps else None
+    budget = len(live)
+    while queue and best != floor:
+        if settle:
+            total, _, key = heappop(queue)
+        else:
+            key = queue.popleft()
+            queued.discard(key)
+        u, values = key
+        current = front[u].get(values)
+        if current is None or settle and current != total:
+            continue  # outdone since
+        total = current
+        if settle and _le(best, total):
+            break  # no label left ends below the best final one
+        for v in adj[u]:
+            wv = cost.get(v)
+            if wv is None:
+                continue  # not live
+            nt = total + wv if type(total) is int and type(wv) is int \
+                else ext_add(total, wv)
+            nvalues = carry(values, v, nt) if caps else ()
+            if nvalues is None or not offer(v, nvalues, nt, key):
+                continue
+            budget -= 1
+            if not budget:
+                budget = max(len(parent), len(live))
+                pumped = pumped or _parent_cycle(parent)
+            if pumped is not None:
+                if escapes(pumped):
+                    return NEG_INF
+                parent[pumped] = None  # its cycle is dead
+                pumped = None
+    if clip_low is not POS_INF and best is not NEG_INF \
+            and (not settle or ext_cmp(clip_low, best) < 0) \
+            and floor != best:
+        raise BoundExhausted("extremal value undecided within the counter box")
+    return best
+
+
+def _on_chain(parent, key, target) -> bool:
+    """Is `target` on the parent chain that starts at `key`?"""
+    for _ in range(len(parent)):
+        if key is None or key == target:
+            return key is not None
+        key = parent[key]
     return False
 
 
-def _best_run(oracle: AnswerOracle, region, dim: int, sign: int):
-    """Least signed total of dimension `dim` over the runs of a live region.
-
-    Queue-based Bellman-Ford from the live initials, each node weighted
-    with its own signed weight (the initial's included).  The parent
-    pointers close a cycle only around an improving cycle, and a reachable
-    improving cycle drives some label below every simple-walk total, after
-    which they always hold one.  They are checked after every |live|
-    relaxations, O(1) per relaxation (Cherkassky & Goldberg, 1999).
-    Returns NEG_INF for an improving cycle, POS_INF when there is no run,
-    and None when a live weight is infinite.
-    """
-    initials, adj, finals, live = region
-    weight = {}
-    for u in live:
-        w = oracle.weights(u)[dim]
-        if not is_finite(w):
-            return None
-        weight[u] = sign * w
-    starts = [u for u in initials if u in live]
-    if not starts:
-        return POS_INF
-    dist = {u: weight[u] for u in starts}
-    parent = dict.fromkeys(starts)
-    queue = deque(starts)
-    queued = set(starts)
-    budget = len(live)
-    while queue:
-        u = queue.popleft()
-        queued.discard(u)
-        du = dist[u]
-        for v in adj[u]:
-            wv = weight.get(v)
-            if wv is None:
-                continue  # not live
-            d = du + wv
-            if v in dist and d >= dist[v]:
-                continue
-            dist[v] = d
-            parent[v] = u
-            budget -= 1
-            if not budget:
-                if _parent_cycle(parent):
-                    return NEG_INF
-                budget = len(live)
-            if v not in queued:
-                queued.add(v)
-                queue.append(v)
-    return min(dist[f] for f in finals)
-
-
-def _parent_cycle(parent) -> bool:
-    """Do the parent pointers of a Bellman-Ford search close a cycle?"""
+def _parent_cycle(parent):
+    """A key on a cycle of a Bellman-Ford search's parent pointers, or None."""
     walk_of = {}
     for k, start in enumerate(parent):
         u = start
@@ -475,8 +574,8 @@ def _parent_cycle(parent) -> bool:
             walk_of[u] = k
             u = parent[u]
         if u is not None and walk_of[u] == k:
-            return True
-    return False
+            return u
+    return None
 
 
 def _unwind(trail) -> List[ProductNode]:
@@ -577,131 +676,27 @@ def find_witness(o: AnswerOracle, bounds: Sequence,
 # Extremal values
 # ---------------------------------------------------------------------------
 
-def _cycles_at(adj, origin, max_len, max_cycles):
-    out = []
-    stack = [(origin, [origin])]
-    while stack and len(out) < max_cycles:
-        node, path = stack.pop()
-        for w in adj.get(node, ()):
-            if w == origin:
-                out.append(list(path))
-            elif w not in path and len(path) < max_len:
-                stack.append((w, path + [w]))
-    return out
-
-
-def _cycle_delta(o: AnswerOracle, cycle):
-    total = None
-    for u in cycle:
-        w = o.weights(u)
-        if any(not is_finite(x) for x in w):
-            return None
-        total = w if total is None else tuple(a + b for a, b in zip(total, w))
-    return total
-
-
-def _improving(delta, bounds, obj_dim, sign) -> bool:
-    """Pumping keeps every bounded dimension non-increasing and strictly
-    moves the objective in the wanted direction."""
-    for i, d in enumerate(delta):
-        if i == obj_dim:
-            continue
-        if bounds[i] is POS_INF:
-            continue
-        if d > 0:
-            return False
-    return sign * delta[obj_dim] < 0
-
-
-def _has_improving_cycle(o, witness, bounds, obj_dim, sign, max_configs, box):
-    """A strictly improving feasibility-preserving cycle combination.
-
-    Candidate cycles come from the explored region around the witness; each
-    candidate is certified by re-running the search forced through the
-    cycle's anchor node, so pumping it really embeds into a feasible run.
-    """
-    adj, _ = _explore(o, witness, _EXPLORE_NODES)
-    witness_set = set(witness)
-    candidates: List[Tuple[ProductNode, Tuple]] = []
-    for u in adj:
-        for cycle in _cycles_at(adj, u, _MAX_CYCLE_LEN, _MAX_CYCLES):
-            d = _cycle_delta(o, cycle)
-            if d is not None:
-                candidates.append((u, d))
-        if len(candidates) > _MAX_CYCLES:
-            break
-
-    def certified(anchors) -> bool:
-        missing = frozenset(anchors) - witness_set
-        if not missing:
-            return True
-        res = solve_core(o, bounds, via=frozenset(anchors),
-                         max_configs=max_configs, box=box)
-        return res.status == FOUND
-
-    for (u, d) in candidates:
-        if _improving(d, bounds, obj_dim, sign) and certified({u}):
-            return True
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            (u1, d1), (u2, d2) = candidates[i], candidates[j]
-            combined = tuple(a + b for a, b in zip(d1, d2))
-            if _improving(combined, bounds, obj_dim, sign) \
-                    and certified({u1, u2}):
-                return True
-    return False
-
-
 def extremal(o: AnswerOracle, objective: int, bounds: Sequence, direction: str,
              *, max_configs: int = MAX_CONFIGS, box: Optional[int] = None):
     """Minimum (maximum) of one weight dimension over all feasible runs.
 
-    Empty run set yields +inf for min and -inf for max; a feasibility
-    preserving strictly improving cycle yields -inf (min) / +inf (max).
-
-    When the objective is the only tracked dimension (every bound is +inf),
-    the extremum is a shortest-run value over the live product.  Finite
-    bounds, a region past the exploration cap and infinite live weights
-    take the enumeration instead: one collecting exploration lists every
-    attainable value inside the counter box; when nothing was clipped that
-    set is complete and the extremum exact.  Otherwise a pumpable-cycle
-    certificate decides the infinite cases, and a single emptiness probe
-    below the best value can still certify optimality.  Raises
-    BoundExhausted when inconclusive.
+    Empty run set yields +inf for min and -inf for max; an improving cycle
+    that pumps inside a feasible run yields -inf (min) / +inf (max).  The
+    value is the least signed total `_best_run` finds over the live product
+    region, with labels that carry the values of the bounded dimensions.
+    Raises BoundExhausted when inconclusive (more than `max_configs`
+    product nodes, or labels and comparisons, or a counter-box clip that
+    might hide a better run) unless `_certify_empty` shows that no run is
+    feasible.
     """
     sign = 1 if direction == "min" else -1
-    if all(b is POS_INF for b in bounds):
-        region = _live_region(o, max_configs)
-        if region is not None:
-            best = _best_run(o, region, objective, sign)
-            if best is not None:
-                return best if sign > 0 else -best
-
-    base = solve_core(o, bounds, objective=(objective, sign, POS_INF),
-                      collect=True, max_configs=max_configs, box=box)
-    if base.status == EXHAUSTED:
-        raise BoundExhausted("extremal search undecided")
-    if base.status == EMPTY or not base.values:
-        return POS_INF if direction == "min" else NEG_INF
-
-    best = None
-    for v in base.values:
-        if best is None or sign * ext_cmp(v, best) < 0:
-            best = v
-    if (direction == "min" and best is NEG_INF) or \
-            (direction == "max" and best is POS_INF):
-        return best
-    if not base.clipped:
-        return best
-
-    if _has_improving_cycle(o, base.witness, bounds, objective, sign,
-                            max_configs, box):
-        return NEG_INF if direction == "min" else POS_INF
-
-    if is_finite(best):
-        res = solve_core(o, bounds,
-                         objective=(objective, sign, sign * best - 1),
-                         max_configs=max_configs, box=box)
-        if res.status == EMPTY:
-            return best
-    raise BoundExhausted("extremal value undecided within the counter box")
+    region = _live_region(o, max_configs)
+    if region is None:
+        raise BoundExhausted("extremal search past its node budget")
+    try:
+        best = _best_run(o, region, objective, sign, bounds, max_configs, box)
+    except BoundExhausted:
+        if not _certify_empty(o, bounds, max_configs):
+            raise
+        best = POS_INF  # no feasible run at all
+    return best if sign > 0 else -best

@@ -287,6 +287,35 @@ def dijkstra_walk(g: Graph, labelling: str, src, dst):
     return dist.get(dst, POS_INF)
 
 
+def dijkstra_walk_above(g: Graph, labelling: str, resource: str, floor: int,
+                        src, dst, horizon: int):
+    """Minimal walk value among the walks whose `resource` total exceeds
+    `floor`, for positive `labelling` weights: Dijkstra over (node,
+    `resource` total), which stops past `horizon`.  +inf when no such walk
+    is worth `horizon` or less."""
+    import heapq
+    from opra.graph import POS_INF
+
+    weight = _node_weights(g, labelling)
+    extra = _node_weights(g, resource)
+    assert all(w > 0 for w in weight.values())
+    succ = _successors(g)
+    heap = [(weight[src], src, extra[src])]
+    done = set()
+    while heap:
+        d, u, r = heapq.heappop(heap)
+        if d > horizon:
+            break
+        if (u, r) in done:
+            continue
+        done.add((u, r))
+        if u == dst and r > floor:
+            return d
+        for v in succ[u]:
+            heapq.heappush(heap, (d + weight[v], v, r + extra[v]))
+    return POS_INF
+
+
 def bellman_ford_walk(g: Graph, labelling: str, src, dst, direction: str):
     """Minimal (maximal) walk value for any weights: |V| - 1 rounds over
     the nodes on some src-dst walk, then one more round that finds an

@@ -13,6 +13,7 @@ from helpers import (
     bellman_ford_walk,
     certify_holds,
     dijkstra_walk,
+    dijkstra_walk_above,
     pool_queries,
     random_graph,
     random_route_graph,
@@ -31,6 +32,7 @@ from opra.engine import (
 from opra.errors import (
     BoundExhausted,
     RecursionLimit,
+    UndefinedInfinitySum,
     UnknownNode,
     ValidationFailed,
 )
@@ -252,13 +254,13 @@ ROUTE = "SELECT NODES x, y, PATHS rho SUCH THAT x -[rho]-> y : E"
 
 
 @pytest.fixture
-def collect_calls(monkeypatch):
-    """The `collect` flag of every counter search, in call order."""
+def core_calls(monkeypatch):
+    """The positional arguments of every counter search, in call order."""
     calls = []
     solve_core = vass.solve_core
 
     def spy(*args, **kwargs):
-        calls.append(kwargs.get("collect", False))
+        calls.append(args)
         return solve_core(*args, **kwargs)
 
     monkeypatch.setattr(vass, "solve_core", spy)
@@ -299,7 +301,7 @@ class TestExtremaAgainstReference:
                               "below zero" if want < 0 else "other")
         assert {"-inf", "below zero"} <= kinds
 
-    def test_large_cyclic_region(self, collect_calls):
+    def test_large_cyclic_region(self, core_calls):
         """Max `time` on about 2800 live product nodes is +inf; the parent
         pointers close the cycle long before walks grow |live| nodes."""
         q = parse(ROUTE)
@@ -311,13 +313,24 @@ class TestExtremaAgainstReference:
             # a walk back from y closes a cycle through x and y
             assert dijkstra_walk(g, "time", y, x) is not POS_INF
             assert extremal("time", q, g, env, "max") is POS_INF
-        assert collect_calls == []
+        assert core_calls == []
+
+    def test_region_of_25000_nodes(self):
+        """The live region is explored up to the configuration budget, so
+        a region of tens of thousands of product nodes is decided."""
+        q = parse(ROUTE)
+        g = random_route_graph(random.Random(3), n=25000)
+        assert extremal("time", q, g, {"x": "v000", "y": "v005"}, "min") \
+            == dijkstra_walk(g, "time", "v000", "v005") == 209
+        assert extremal("time", q, g, {"x": "v001", "y": "v007"},
+                        "max") is POS_INF
 
 
-class TestExtremaFallback:
-    """Extrema the shortest-run kernel leaves to the counter enumeration."""
+class TestBoundedExtrema:
+    """Extrema under finite bounds and over infinite weights: the label
+    kernel decides them without a counter search."""
 
-    def test_finite_bound(self, map_graph, collect_calls):
+    def test_finite_bound(self, map_graph, core_calls):
         q = parse(ROUTE + " HAVING attr[rho] > 100")
         gx = extend(map_graph, ())
         walks = [p for p in constrained_walks(gx, map_graph, "S", "P", "E", 12)
@@ -328,9 +341,9 @@ class TestExtremaFallback:
         assert want < 12 * fastest + gx.lookup("time", ("P",))
         assert extremal("time", q, map_graph,
                         {"x": "S", "y": "P"}, "min") == want
-        assert True in collect_calls
+        assert core_calls == []
 
-    def test_infinite_weight(self, collect_calls):
+    def test_infinite_weight(self, core_calls):
         g = Graph(["a", "b", "c"], [
             Labelling("E", 2, {("a", "b"): 1, ("b", "c"): 1,
                                ("a", "c"): 1}, 0),
@@ -340,23 +353,68 @@ class TestExtremaFallback:
         env = {"x": "a", "y": "c"}
         assert extremal("time", q, g, env, "min") == 3
         assert extremal("time", q, g, env, "max") is POS_INF
-        assert collect_calls == [True, True]
+        assert core_calls == []
+
+    def test_undefined_sum(self):
+        """+inf then -inf along a->b->c->d: the min drops the run once it
+        is +inf; the max meets the undefined sum."""
+        g = Graph(["a", "b", "c", "d"], [
+            Labelling("E", 2, {("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1,
+                               ("a", "d"): 1}, 0),
+            Labelling("time", 1, {("a",): 1, ("b",): POS_INF,
+                                  ("c",): NEG_INF, ("d",): 2}, 0)])
+        q = parse(ROUTE)
+        env = {"x": "a", "y": "d"}
+        assert extremal("time", q, g, env, "min") == 3
+        with pytest.raises(UndefinedInfinitySum):
+            extremal("time", q, g, env, "max")
+
+    def test_improving_cycle_beside_infinite_weight(self):
+        """An improving cycle counts only on a run it can pump: every run
+        through b's loop crosses x's +inf, and every run from c starts at
+        -inf, so neither loop makes the extremum infinite."""
+        g = Graph(["a", "b", "x", "t", "c"], [
+            Labelling("E", 2, {("a", "b"): 1, ("b", "b"): 1, ("b", "x"): 1,
+                               ("x", "t"): 1, ("a", "t"): 1, ("c", "t"): 1,
+                               ("t", "t"): 1}, 0),
+            Labelling("time", 1, {("a",): 1, ("b",): -1, ("x",): POS_INF,
+                                  ("t",): 2, ("c",): NEG_INF}, 0),
+            Labelling("w", 1, {("a",): 1}, 0)])
+        for having in ("", " HAVING w[rho] <= 5"):
+            q = parse(ROUTE + having)
+            assert extremal("time", q, g, {"x": "a", "y": "t"}, "min") == 3
+            assert extremal("time", q, g, {"x": "c", "y": "t"},
+                            "max") is NEG_INF
+
+    def test_route_under_attr_bound(self):
+        """Min `time` under `attr > 100` for every ordered pair equals a
+        Dijkstra over (node, `attr` total)."""
+        q = parse(ROUTE + " HAVING attr[rho] > 100")
+        g = random_route_graph(random.Random(5))
+        got = {(x, y): extremal("time", q, g, {"x": x, "y": y}, "min")
+               for x in g.real_nodes for y in g.real_nodes}
+        assert got[("v000", "v005")] == 117
+        assert got[("v003", "v011")] == 151
+        assert got[("v001", "v007")] == 210
+        for (x, y), value in got.items():
+            assert value == dijkstra_walk_above(g, "time", "attr", 100,
+                                                x, y, 1000), (x, y)
 
 
 class TestPerSourceAnswers:
     """`answers` searches once per source when the selected target is only
     a path endpoint, and agrees with the per-tuple fold everywhere."""
 
-    def test_one_search_per_source(self, map_graph, collect_calls):
+    def test_one_search_per_source(self, map_graph, core_calls):
         texts = corpus_texts()
         result, complete = answers(parse(texts["q_route"]), map_graph)
         assert complete and len(result) == 25
-        assert len(collect_calls) == 5
+        assert len(core_calls) == 5
         # q8 coerces y into a path position, q10 ends two paths at y
         for name in ("q8", "q10"):
-            collect_calls.clear()
+            core_calls.clear()
             answers(parse(texts[name]), map_graph)
-            assert collect_calls.count(False) == 25, name
+            assert len(core_calls) == 25, name
 
     def test_agrees_with_per_tuple_fold(self, monkeypatch):
         """Same node sets and `complete` flags as `Engine._find_answer` per

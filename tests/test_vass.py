@@ -7,6 +7,7 @@ import pytest
 
 from helpers import random_graph, vass_reach_oracle
 
+from opra.bruteforce import extremal_brute
 from opra.engine import Engine, _Prepared
 from opra.errors import BoundExhausted, DimensionMismatch
 from opra.graph import NEG_INF, POS_INF, Graph, Labelling
@@ -321,3 +322,39 @@ class TestExtremal:
                 g, env={"x": nodes[0], "y": nodes[-1]},
                 objective=("val", "p"))
             assert extremal(o2, 0, (POS_INF,), "min") is NEG_INF, i
+
+    def test_improving_cycle_family_under_bound(self):
+        """The family above with a second labelling `w` and `w[p] <= 3`:
+        where the cycle node has `w` 0 the chain through it is feasible and
+        pumping keeps the bound (-inf).  Elsewhere the optimum loops at the
+        cycle node at most three times and visits no other node twice, so
+        the brute force over six nodes has its value."""
+        rng = random.Random(77)
+        q = parse("SELECT NODES x, y, PATHS p SUCH THAT x -[p]-> y : E "
+                  "HAVING w[p] <= 3")
+        kinds = set()
+        for i in range(40):
+            n = rng.randint(2, 4)
+            nodes = [f"n{j}" for j in range(n)]
+            edges = {(nodes[j], nodes[j + 1]): 1 for j in range(n - 1)}
+            for _ in range(rng.randint(0, 4)):
+                edges[(rng.choice(nodes), rng.choice(nodes))] = 1
+            c = rng.choice(nodes)
+            edges[(c, c)] = 1
+            values = {(v,): rng.randint(0, 2) for v in nodes}
+            values[(c,)] = -rng.randint(1, 3)
+            w = {(v,): rng.randint(0, 1) for v in nodes}
+            if i % 2 == 0:
+                w[(c,)] = 0
+            g = Graph(nodes, [Labelling("E", 2, edges, 0),
+                              Labelling("val", 1, values, 0),
+                              Labelling("w", 1, w, 0)])
+            env = {"x": nodes[0], "y": nodes[-1]}
+            got = Engine().extremal("val", q, g, env, "min")
+            if w[(c,)] == 0:
+                assert got is NEG_INF, i
+            else:
+                assert got == extremal_brute("val", q, g, env, "min",
+                                             max_len=6), i
+            kinds.add("-inf" if got is NEG_INF else "finite")
+        assert kinds == {"-inf", "finite"}
