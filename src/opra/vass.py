@@ -1,13 +1,15 @@
 """Z-reachability on integer-vector-labelled graphs, and constrained search
 and extrema over answer oracles.
 
-The solver works at desk scale: configuration-space search over
-(node, counter vector) clamped to a box, with an explicit inconclusive
-status whenever the box or the exploration budget is exhausted, never a
-wrong answer.  Dimensions whose per-step weights cannot go negative are
-pruned as soon as they exceed their bound.  Extrema take one label kernel
-over the live product region, a label being a product node plus the
-values of the bounded dimensions.
+The solver works at desk scale.  A label is a product node plus the values
+of the bounded dimensions.  Feasibility is a first-in-first-out label
+search that drops a label no lower than one kept at its node and clamps
+values to a counter box, with an explicit inconclusive status whenever the
+box or the label budget is exhausted, never a wrong answer.  Dimensions
+whose per-step weights cannot go negative are pruned as soon as they
+exceed their bound.  Extrema take one label kernel over the live product
+region.  Explicit Z-reachability is breadth-first over (node, counter
+vector) configurations.
 
 Infinite bounds and infinite atom values are handled semantically: a
 dimension that reaches minus infinity is satisfied forever, one that
@@ -20,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
+from operator import le as _int_le
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BoundExhausted, DimensionMismatch, UndefinedInfinitySum
@@ -183,13 +186,25 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence, *,
     """Find an S-to-T run whose accumulated weights satisfy the bounds.
 
     `bounds` are extended integers per dimension (POS_INF drops a dimension
-    from tracking).  Depth-first with a visited set over (node, tracked
-    values); deterministic order.  More than `max_configs` visited
-    configurations give up; `box` clamps counter magnitudes (None derives
-    one from the weights and bounds).
+    from tracking).  A label is a product node plus its tracked values.  The
+    search is breadth-first (first in, first out) over labels, and draws
+    the next initial only when its queue runs dry, so witnesses are short;
+    deterministic order.  Every bound reads `sum <= bound`, so a new label
+    is dropped when one kept at its node is no greater in every value
+    (Irnich & Desaulniers, 2005).  A kept label that a newer one outdoes
+    leaves the node's antichain but stays queued: behind a negative cycle a
+    newer label arrives before each queued one is expanded.  A final label
+    that meets the bounds is caught when it is generated, not when it is
+    expanded.  More than `max_configs` kept labels give up.
 
-    When the box clips the counter space, a weight-free reachability pass
-    can still certify emptiness structurally.
+    A dimension that can only grow is dead above its bound, one that can
+    only shrink is clamped at its bound once it meets it, and any value
+    past the counter box `box` is a clip (None derives a box from the
+    weights and bounds): dropped above it, and below it clamped at the
+    floor, or dropped for a dimension that can only shrink.  A clamped
+    label stands for lower values and is no less feasible.  When the box
+    clips the counter space, a weight-free reachability pass can still
+    certify emptiness structurally.
 
     When the oracle leaves a target open, the search keeps the first run per
     end node in `runs` and goes on until every node has one or the space is
@@ -203,88 +218,97 @@ def solve_core(oracle: AnswerOracle, bounds: Sequence, *,
     ranges = oracle.weight_ranges()
     if box is None:
         box = _derived_box(oracle, bounds, ranges)
-
-    # per tracked dimension, the value above which a configuration is dead
-    # because the weights there can only grow
-    his = [bounds[d] if _direction(ranges[d], bounds[d]) > 0 else None
-           for d in tracked]
+    caps = [(d, bounds[d], _direction(ranges[d], bounds[d])) for d in tracked]
     weights = oracle.weights
     clipped = False
+    le = _int_le  # compares labels until some value is -inf
 
     def arrive(node: ProductNode, values: Tuple):
         """New tracked vector after accumulating this node's weights, or
-        None when the configuration is certainly dead or leaves the box."""
-        nonlocal clipped
+        None when the label is certainly dead or clipped by the box."""
+        nonlocal clipped, le
         w = weights(node)
         out = []
-        for i, d in enumerate(tracked):
-            v, wd = values[i], w[d]
+        for v, (d, b, direction) in zip(values, caps):
+            wd = w[d]
             if type(v) is int and type(wd) is int:
                 nv = v + wd
             else:
                 nv = ext_add(v, wd)
                 if nv is POS_INF:
                     return None  # can never meet a finite or -inf bound
-            out.append(nv)
-        for v, hi in zip(out, his):
-            if type(v) is not int:
+                out.append(nv)  # -inf meets every bound for good
+                le = _le
                 continue
-            if hi is not None and v > hi:
+            if direction > 0 and nv > b:
                 return None
-            if abs(v) > box:
+            elif direction < 0 and nv <= b:
+                nv = b  # met for good
+            elif nv > box:
                 clipped = True
                 return None
+            elif nv < -box:
+                clipped = True
+                if direction:
+                    return None
+                nv = -box
+            out.append(nv)
         return tuple(out)
 
     def check_final(values) -> bool:
-        for i, d in enumerate(tracked):
-            if ext_cmp(values[i], bounds[d]) > 0:
+        return all(_le(v, cap[1]) for v, cap in zip(values, caps))
+
+    front: Dict[ProductNode, List[Tuple]] = {}  # node -> antichain of values
+
+    def keep(node, values) -> bool:
+        """Add a label to its node's antichain unless one there is no
+        greater; True when kept."""
+        labels = front.get(node)
+        if labels is None:
+            front[node] = [values]
+            return True
+        for o in labels:
+            if all(map(le, o, values)):
                 return False
+        labels[:] = [o for o in labels if not all(map(le, values, o))]
+        labels.append(values)
         return True
-
-    visited = set()
-    stack: List[Tuple[ProductNode, Tuple, Tuple]] = []
-
-    def push(node, values, trail):
-        key = (node, values)
-        if key not in visited:
-            visited.add(key)
-            stack.append((node, values, trail))
 
     runs: Optional[Dict[object, List[ProductNode]]] = \
         None if oracle.open_slot is None else {}
     n_ends = len(oracle.graph.real_nodes)
     zero = tuple(0 for _ in tracked)
+    is_final = oracle.is_final
+    successors = oracle.successors
     init_iter = oracle.initials()
-    pending = True
-    while True:
-        if not stack:
-            if not pending:
-                break
+    queue: deque = deque()
+    kept = 0
+    while runs is None or len(runs) < n_ends:
+        if queue:
+            if kept > max_configs:
+                return CoreResult(EXHAUSTED, clipped=True, runs=runs)
+            node, values, trail = queue.popleft()
+            batch = ((succ, arrive(succ, values)) for succ in successors(node))
+        else:
             nxt = next(init_iter, None)
             if nxt is None:
-                pending = False
+                break
+            trail = None
+            batch = ((nxt, arrive(nxt, zero)),)
+        for succ, nvalues in batch:
+            if nvalues is None or not keep(succ, nvalues):
                 continue
-            values = arrive(nxt, zero)
-            if values is not None:
-                push(nxt, values, (nxt, None))
-            continue
-        if len(visited) > max_configs:
-            return CoreResult(EXHAUSTED, clipped=True, runs=runs)
-        node, values, trail = stack.pop()
-        if oracle.is_final(node) and check_final(values):
-            if runs is not None:
+            kept += 1
+            ntrail = (succ, trail)
+            if not is_final(succ) or not check_final(nvalues):
+                queue.append((succ, nvalues, ntrail))
+            elif runs is None:
+                return CoreResult(FOUND, _unwind(ntrail), clipped=clipped)
+            elif succ.end not in runs:
                 # every run through a final node ends where it does
-                if node.end not in runs:
-                    runs[node.end] = _unwind(trail)
-                    if len(runs) == n_ends:
-                        break
-                continue
-            return CoreResult(FOUND, _unwind(trail), clipped=clipped)
-        for succ in oracle.successors(node):
-            nvalues = arrive(succ, values)
-            if nvalues is not None:
-                push(succ, nvalues, (succ, trail))
+                runs[succ.end] = _unwind(ntrail)
+                if len(runs) == n_ends:
+                    break
     if runs:
         return CoreResult(FOUND, next(iter(runs.values())), clipped=clipped,
                           runs=runs)

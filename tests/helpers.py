@@ -362,6 +362,52 @@ def bellman_ford_walk(g: Graph, labelling: str, src, dst, direction: str):
     return sign * dist[dst]
 
 
+def shortest_walk_within(g: Graph, labelling: str, bound: int, src, dst,
+                         max_nodes: int):
+    """Fewest nodes of a src-dst walk whose `labelling` total is at most
+    `bound`: breadth-first over walk lengths, keeping per node the least
+    total of the walks of that many nodes.  None past `max_nodes`."""
+    weight = _node_weights(g, labelling)
+    succ = _successors(g)
+    layer = {src: weight[src]}
+    for n in range(1, max_nodes + 1):
+        if dst in layer and layer[dst] <= bound:
+            return n
+        nxt = {}
+        for u, total in layer.items():
+            for v in succ[u]:
+                if v not in nxt or total + weight[v] < nxt[v]:
+                    nxt[v] = total + weight[v]
+        layer = nxt
+    return None
+
+
+def pairs_within_budget(g: Graph, cost: str, budget: int, gain: str,
+                        floor: int):
+    """The (src, dst) pairs joined by a walk whose `cost` total is at most
+    `budget` and whose `gain` total exceeds `floor`, for positive `cost`
+    weights: a dynamic programme over (node, cost used) that keeps the
+    largest `gain` total."""
+    weight = _node_weights(g, cost)
+    extra = _node_weights(g, gain)
+    assert all(w > 0 for w in weight.values())
+    succ = _successors(g)
+    out = set()
+    for src in g.real_nodes:
+        best = [dict() for _ in range(budget + 1)]  # cost used -> node -> gain
+        if weight[src] <= budget:
+            best[weight[src]][src] = extra[src]
+        for used, layer in enumerate(best):
+            for u, total in layer.items():
+                if total > floor:
+                    out.add((src, u))
+                for v in succ[u]:
+                    c, t = used + weight[v], total + extra[v]
+                    if c <= budget and (v not in best[c] or best[c][v] < t):
+                        best[c][v] = t
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Configuration-enumeration oracle for explicit VASS reachability
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ from helpers import (
     certify_holds,
     dijkstra_walk,
     dijkstra_walk_above,
+    pairs_within_budget,
     pool_queries,
     random_graph,
     random_route_graph,
+    shortest_walk_within,
 )
 
 from opra import vass
@@ -478,6 +480,77 @@ def _per_tuple_fold(engine, q, g):
         elif not ok:
             undecided.add(sel)
     return found, undecided
+
+
+class TestLabelSearch:
+    """`vass.solve_core` searches labels (product node, tracked values)
+    first in, first out, and drops a new label when one kept at its node is
+    no greater in every value."""
+
+    # A2 graphs where a box of 8 used to leave some pool query inconclusive
+    BOX_GRAPHS = (6, 22, 29, 65, 78, 79, 90, 91, 108, 118, 126, 134, 145)
+
+    def test_small_box_keeps_answers(self):
+        """A mixed-sign value below the box floor is clamped there, so the
+        label that dominates the others at its node never leaves the box
+        while they would have reached a final."""
+        rng = random.Random(20260811)
+        graphs = [random_graph(rng, max_nodes=5)
+                  for _ in range(max(self.BOX_GRAPHS) + 1)]
+        boxed = Engine(EngineLimits(counter_box=8))
+        for g_idx in self.BOX_GRAPHS:
+            g = graphs[g_idx]
+            for name, q, _ in pool_queries():
+                if not q.select_nodes:
+                    continue
+                want, complete = Engine().answers(q, g)
+                assert complete, (name, g_idx)
+                got, complete = boxed.answers(q, g)
+                assert complete, (name, g_idx)
+                assert {t for t, _ in got} == {t for t, _ in want}, \
+                    (name, g_idx)
+
+    def test_negative_cycle_behind_queued_label(self):
+        """Each lap of a negative cycle brings a label that outdoes the
+        queued one at its node before that one is expanded (A2 graph 22).
+        Queued labels stay queued; dropping them as well as the values below
+        the box floor loses an answer here."""
+        edges = [("n0", "n0"), ("n0", "n3"), ("n1", "n1"), ("n1", "n2"),
+                 ("n2", "n0"), ("n2", "n2"), ("n2", "n3"), ("n3", "n3")]
+        g = Graph(["n0", "n1", "n2", "n3"], [
+            Labelling("E", 2, {e: 1 for e in edges}, 0),
+            Labelling("val", 1, {("n0",): 2, ("n1",): -3, ("n2",): -3,
+                                 ("n3",): -3}, 0)])
+        q = parse("SELECT NODES x, y SUCH THAT x -[p]-> y : E "
+                  "HAVING val[p] <= 2")
+        result, complete = Engine().answers(q, g)
+        assert complete and len(result) == 10
+
+    def test_witnesses_are_shortest(self):
+        """Pool graph 353: every witness has as few nodes as the shortest
+        walk that meets the bound."""
+        rng = random.Random(20260811)
+        for _ in range(354):
+            g = random_graph(rng, max_nodes=5)
+        q = parse("SELECT NODES x, y, PATHS p SUCH THAT x -[p]-> y : E "
+                  "HAVING val[p] <= 0")
+        result, complete = Engine().answers(q, g)
+        assert complete and len(result) == 25
+        for (x, y), (path,) in result:
+            assert holds_brute(q, g, (x, y), (path,)), (x, y)
+            assert len(path) == shortest_walk_within(g, "val", 0, x, y, 64), \
+                (x, y, path)
+
+    def test_target_without_in_edges(self):
+        """v005 has no in-edges, so no source search settles every target;
+        dominance keeps the search that proves it small."""
+        g = random_route_graph(random.Random(0), n=20)
+        q = parse("SELECT NODES x, y SUCH THAT x -[pi]-> y : E "
+                  "HAVING time[pi] <= 300 AND attr[pi] > 150")
+        result, complete = Engine().answers(q, g)
+        assert complete and len(result) == 375
+        assert {t for t, _ in result} == \
+            pairs_within_budget(g, "time", 300, "attr", 150)
 
 
 class TestQuantifierMonotonicity:
