@@ -7,6 +7,14 @@ variable open when it is only the target of one path, so one search per
 source serves every target.  Ontology terms see the engine
 through the extended graph, so truth subqueries and path extrema recurse
 into the same machinery.
+
+Each call compiles its query once (`_Prepared`) and runs one search per
+binding.  The prepared query keeps one product memo per core with its
+constraint sources blanked, so the searches of all bindings that differ
+only in their sources share interned product nodes, successors, weights,
+finals and checked edges.  Where every node variable is a target or a path
+position no two bindings could share one, and each oracle keeps private
+tables.  The memos die with the call; an engine keeps no per-call state.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ from .graph import NEG_INF, POS_INF, ext_max, ext_min
 from .model import Query, letter_refs, regex_variables, require_valid
 from .nfa import compile as nfa_compile
 from .nfa import pad_extend
-from .product import OPEN, AnswerOracle, CompiledCore, DimSpec, SlotSpec
+from .product import (OPEN, AnswerOracle, CompiledCore, DimSpec,
+                      ProductMemo, SlotSpec)
 from .terms import ExtendedGraph, extend, resolve_bound
 from . import vass
 
@@ -38,7 +47,8 @@ class EngineLimits:
 
 class _Prepared:
     """Query compiled against one extended graph: automata, dimensions and
-    resolved bounds, reusable across node instantiations."""
+    resolved bounds, reusable across node instantiations, and the product
+    memos its oracles share."""
 
     def __init__(self, q: Query, gx: ExtendedGraph):
         self.query = q
@@ -65,6 +75,13 @@ class _Prepared:
         self.select_slots = tuple(self.slot_vars.index(v)
                                   for v in q.select_paths)
         self.open_target = _open_target(q, self.pc_by_var)
+        # bindings that differ only in sources, or in variables no core
+        # reads, share a product memo; where every node variable is a
+        # target or a path position no two bindings can, and each oracle
+        # keeps private tables
+        keyed = coerced | {pc.target for pc in q.path_constraints}
+        self.memos: Optional[Dict[Tuple, ProductMemo]] = \
+            {} if self.node_vars - keyed else None
 
     def core(self, env: Dict[str, object], bound_paths: Dict[str, Tuple],
              free_vars: Sequence[str],
@@ -108,13 +125,35 @@ class _Prepared:
                 bound_paths: Dict[str, Tuple], free_vars: Sequence[str],
                 objective: Optional[Tuple[str, str]] = None):
         """One answer oracle per binding of the node variables that
-        `base_env` leaves free, in a fixed order."""
+        `base_env` leaves free, in a fixed order.  Oracles whose cores
+        differ only in constraint sources share one product memo."""
         free = sorted(self.node_vars - set(base_env))
         for combo in iproduct(self.gx.real_nodes, repeat=len(free)):
             env = dict(base_env)
             env.update(zip(free, combo))
-            yield AnswerOracle(
-                self.core(env, bound_paths, free_vars, objective), self.gx)
+            core = self.core(env, bound_paths, free_vars, objective)
+            memo = None
+            if self.memos is not None:
+                key = _memo_key(core)
+                memo = self.memos.get(key)
+                if memo is None:
+                    memo = self.memos[key] = ProductMemo()
+            yield AnswerOracle(core, self.gx, memo)
+
+
+def _memo_key(core: CompiledCore) -> Tuple:
+    """A core of one prepared query with its constraint sources blanked:
+    oracles whose cores share it derive the same product from a node, as
+    only `initials`, `is_initial` and `feasible` read a source.  The
+    dimensions and each slot's bound path and targets make the key; the
+    automata, slot order, edge labellings and tracked slots are the same
+    for every core of the prepared query."""
+    key = [core.dims]
+    for s in core.slots:
+        key.append(s.bound_path)
+        for c in s.constraints:
+            key.append(c[1])
+    return tuple(key)
 
 
 def _open_target(q: Query, pc_by_var) -> Optional[str]:

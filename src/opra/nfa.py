@@ -9,6 +9,7 @@ for the compiled automata and the product construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Sequence, Tuple
 
 from .graph import SINK, ext_cmp
@@ -52,6 +53,13 @@ class Nfa:
 
     def moves(self, state: int):
         return self.transitions[state]
+
+    @cached_property
+    def reads_next(self) -> bool:
+        """Does some letter read a next position (`@+1`)?"""
+        return any(ref.offset == 1
+                   for moves in self.transitions for (letter, _) in moves
+                   if letter is not PAD for ref in letter_refs(letter))
 
 
 # ---------------------------------------------------------------------------

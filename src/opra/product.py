@@ -10,6 +10,11 @@ A free slot whose constraint target is `OPEN` may end at any node.  Once
 it has finished, the product node remembers where (`end`), so one search
 from a source keeps the runs to different targets apart.
 
+Only `initials`, `is_initial` and `feasible` read a constraint's source.
+Everything else an oracle derives (interned nodes, successors, weights,
+finals, checked edges, weight ranges) lives in a `ProductMemo`, which the
+oracles of cores that agree up to their sources can share.
+
 Two details make the product agree exactly with the direct semantics:
 
 * an automaton takes its padding self-loop exactly while all of its tracked
@@ -98,23 +103,44 @@ class CompiledCore:
     dims: Tuple[DimSpec, ...]
 
 
+def _needed_moves(nfa: Nfa, state, pad: bool):
+    """The moves out of `state` of the kind the next step needs: only the
+    padding move while all of the automaton's paths have finished (`pad`),
+    only ordinary letters before that."""
+    return [m for m in nfa.moves(state) if (m[0] is PAD) == pad]
+
+
 def _targets(nfa: Nfa, states, window, pad: bool, graph, evaluate):
     """Target states of the automaton's moves out of `states` on one letter
-    window.  While all of its paths have finished (`pad`) only the padding
-    move applies, and ordinary letters only apply before that."""
+    window."""
     for s in states:
-        for (letter, t) in nfa.moves(s):
-            if letter is PAD:
-                if pad:
-                    yield t
-            elif not pad and evaluate(letter, window, graph, nfa.variables):
+        for (letter, t) in _needed_moves(nfa, s, pad):
+            if pad or evaluate(letter, window, graph, nfa.variables):
                 yield t
 
 
-class AnswerOracle:
-    """On-the-fly adjacency oracle for the answer graph of one query core."""
+class ProductMemo:
+    """What an oracle derives from product nodes alone: the interned nodes,
+    successors, weights, finals, checked edges and weight ranges."""
 
-    def __init__(self, core: CompiledCore, graph):
+    __slots__ = ("touched", "successors", "weights", "finals", "edges",
+                 "ranges")
+
+    def __init__(self):
+        self.touched: Dict[ProductNode, ProductNode] = {}
+        self.successors: Dict[ProductNode, Tuple[ProductNode, ...]] = {}
+        self.weights: Dict[ProductNode, Tuple] = {}
+        self.finals: Dict[ProductNode, bool] = {}
+        self.edges: Dict[Tuple[ProductNode, ProductNode], bool] = {}
+        self.ranges: Optional[List] = None
+
+
+class AnswerOracle:
+    """On-the-fly adjacency oracle for the answer graph of one query core.
+    Without a `memo` the oracle keeps private tables."""
+
+    def __init__(self, core: CompiledCore, graph,
+                 memo: Optional[ProductMemo] = None):
         self.core = core
         self.graph = graph
         self.slots = core.slots
@@ -128,11 +154,14 @@ class AnswerOracle:
         self.open_slot = next(
             (i for i, s in enumerate(core.slots)
              if any(tgt is OPEN for (_, tgt, _) in s.constraints)), None)
-        self._triggers = self._join_order_triggers()
-        self._touched: Dict[ProductNode, ProductNode] = {}
-        self._final_cache: Dict[ProductNode, bool] = {}
-        self._succ_cache: Dict[ProductNode, Tuple[ProductNode, ...]] = {}
-        self._weight_cache: Dict[ProductNode, Tuple] = {}
+        self._triggers = self._join_order_triggers(False)
+        # an automaton whose letters read no next position moves alike on
+        # every step out of a node, so the successor join decides it first
+        self._steady = tuple(ai for ai, (nfa, _) in enumerate(core.nfas)
+                             if not nfa.reads_next)
+        self._step_triggers = self._join_order_triggers(True)
+        self.memo = memo = ProductMemo() if memo is None else memo
+        self._touched = memo.touched
         self.feasible = all(self._bound_path_ok(s) for s in core.slots
                             if s.bound_path is not None)
 
@@ -175,12 +204,13 @@ class AnswerOracle:
     def _prevs_for(self, nodes_from: Tuple) -> Tuple:
         return tuple(nodes_from[i] for i in self._tracked)
 
-    def _join_order_triggers(self):
+    def _join_order_triggers(self, reading_next: bool):
         """For each slot position, the automata whose slots are all decided
-        once that position is filled (enables early pruning in joins)."""
+        once that position is filled (enables early pruning in joins); with
+        `reading_next`, only those whose letters read a next position."""
         triggers: List[List[int]] = [[] for _ in self.slots]
-        for ai, (_, slot_idxs) in enumerate(self.core.nfas):
-            if slot_idxs:
+        for ai, (nfa, slot_idxs) in enumerate(self.core.nfas):
+            if slot_idxs and (nfa.reads_next or not reading_next):
                 triggers[max(slot_idxs)].append(ai)
         return triggers
 
@@ -261,13 +291,13 @@ class AnswerOracle:
         return True
 
     def is_final(self, u: ProductNode) -> bool:
-        hit = self._final_cache.get(u)
+        hit = self.memo.finals.get(u)
         if hit is None:
             hit = (u.counter == COUNTER_INF
                    and all(v is SINK for v in u.nodes)
                    and all(s in nfa.finals
                            for (nfa, _), s in zip(self.core.nfas, u.states)))
-            self._final_cache[u] = hit
+            self.memo.finals[u] = hit
         return hit
 
     # -- transitions -----------------------------------------------------------
@@ -336,13 +366,23 @@ class AnswerOracle:
 
     def successors(self, u: ProductNode):
         """Exactly { w : is_edge(u, w) }, deterministic order, cached."""
-        hit = self._succ_cache.get(u)
+        hit = self.memo.successors.get(u)
         if hit is None:
             hit = tuple(self._successors(u))
-            self._succ_cache[u] = hit
+            self.memo.successors[u] = hit
         return hit
 
     def _successors(self, u: ProductNode):
+        for (nfa, slot_idxs), s in zip(self.core.nfas, u.states):
+            pad = all(u.nodes[i] is SINK for i in slot_idxs)
+            if not _needed_moves(nfa, s, pad):
+                return  # a dead step: no move of the kind it needs
+        moves: List = [None] * len(self.core.nfas)
+        unread = (_UNKNOWN,) * self.k  # never read by steady automata
+        for ai in self._steady:
+            moves[ai] = self._moves(ai, u, unread)
+            if not moves[ai]:
+                return
         j2 = self._next_counter(u.counter)
         per_slot: List[List[object]] = []
         for i, slot in enumerate(self.slots):
@@ -353,17 +393,13 @@ class AnswerOracle:
                 if not cands:
                     return
                 per_slot.append(cands)
-        triggers = self._triggers
+        # every other automaton's next states, computed once its last slot
+        # is decided
+        triggers = self._step_triggers
         prevs = self._prevs_for(u.nodes)
         opened = self.open_slot is not None
         k = self.k
         partial: List[object] = [None] * k
-        # each automaton's next states, computed once its last slot is
-        # decided; with no slots at all there are no triggers
-        moves = self._nfa_moves(u, ()) if k == 0 \
-            else [None] * len(self.core.nfas)
-        if moves is None:
-            return
 
         def rec(idx: int):
             if idx == k:
@@ -386,6 +422,12 @@ class AnswerOracle:
         yield from rec(0)
 
     def is_edge(self, u: ProductNode, w: ProductNode) -> bool:
+        hit = self.memo.edges.get((u, w))
+        if hit is None:
+            hit = self.memo.edges[u, w] = self._is_edge(u, w)
+        return hit
+
+    def _is_edge(self, u: ProductNode, w: ProductNode) -> bool:
         if w.counter != self._next_counter(u.counter):
             return False
         if w.prevs != self._prevs_for(u.nodes) \
@@ -421,7 +463,7 @@ class AnswerOracle:
         Atoms whose paths have all finished contribute nothing, so the
         accumulated vector along a run equals the true positionwise sums.
         """
-        hit = self._weight_cache.get(u)
+        hit = self.memo.weights.get(u)
         if hit is not None:
             return hit
         out = []
@@ -434,7 +476,7 @@ class AnswerOracle:
                 total = ext_add(total, ext_mul(coef,
                                                self.graph.lookup(lab, selection)))
             out.append(total)
-        return self._weight_cache.setdefault(u, tuple(out))
+        return self.memo.weights.setdefault(u, tuple(out))
 
     _AUX_RANGE_CAP = 512  # max tuples to evaluate for an auxiliary labelling
 
@@ -453,26 +495,50 @@ class AnswerOracle:
     def weight_ranges(self):
         """Conservative per-dimension (lo, hi) bounds, None when unknown.
 
-        Base-graph labellings enumerate their stored values; small auxiliary
-        labellings are evaluated over the whole domain (memoized lookups).
+        Each term adds its own extremes: base-graph labellings enumerate
+        their stored values, and small auxiliary labellings are evaluated
+        over the whole domain (memoized lookups).  That loses that terms
+        over one path move together, so a dimension of several terms that
+        all read one slot of stored labellings ranges over the per-node
+        sums instead, plus 0 for padding, which is exact.
         """
-        if not hasattr(self, "_ranges"):
-            out = []
-            for dim in self.core.dims:
-                lo, hi = 0, 0
-                known = True
-                for (coef, lab_name, _) in dim.terms:
-                    values = self._labelling_values(lab_name)
-                    if values is None or \
-                            any(not isinstance(v, int) for v in values):
-                        known = False
-                        break
-                    contrib = [coef * v for v in values + [0]]  # 0: padding
-                    lo += min(contrib)
-                    hi += max(contrib)
-                out.append((lo, hi) if known else None)
-            self._ranges = out
-        return self._ranges
+        memo = self.memo
+        if memo.ranges is None:
+            memo.ranges = [self._one_slot_range(dim) or self._summed_range(dim)
+                           for dim in self.core.dims]
+        return memo.ranges
+
+    def _one_slot_range(self, dim: DimSpec):
+        """The exact range of a dimension of several terms that read one
+        slot of stored labellings, or None for any other dimension.  With
+        one term the summed range is the same up to an unused default, and
+        a scan of every node would cost each single-pair call."""
+        graph = self.graph
+        if len(dim.terms) < 2 \
+                or len({idxs for (_, _, idxs) in dim.terms}) != 1 \
+                or len(dim.terms[0][2]) != 1 \
+                or any(graph.stored_values(lab) is None
+                       for (_, lab, _) in dim.terms):
+            return None
+        sums = [0]  # padding
+        for v in graph.real_nodes:
+            values = [graph.lookup(lab, (v,)) for (_, lab, _) in dim.terms]
+            if any(type(x) is not int for x in values):
+                return None
+            sums.append(sum(coef * x for (coef, _, _), x
+                            in zip(dim.terms, values)))
+        return min(sums), max(sums)
+
+    def _summed_range(self, dim: DimSpec):
+        lo, hi = 0, 0
+        for (coef, lab_name, _) in dim.terms:
+            values = self._labelling_values(lab_name)
+            if values is None or any(not isinstance(v, int) for v in values):
+                return None
+            contrib = [coef * v for v in values + [0]]  # 0: padding
+            lo += min(contrib)
+            hi += max(contrib)
+        return lo, hi
 
     # -- decoding -------------------------------------------------------------
 

@@ -19,7 +19,7 @@ reaches plus infinity can never meet a finite bound again.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import count
 from operator import le as _int_le
@@ -50,16 +50,21 @@ class Vass:
     nodes: Tuple[object, ...]
     edges: Tuple[Tuple[object, Tuple[int, ...], object], ...]
     dimension: int
+    # node -> its (vector, successor) pairs in edge order
+    _out: Dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for (_, vec, _) in self.edges:
+        out: Dict = {}
+        for (u, vec, w) in self.edges:
             if len(vec) != self.dimension:
                 raise DimensionMismatch(
                     f"edge vector {vec!r} has length {len(vec)}, "
                     f"dimension is {self.dimension}")
+            out.setdefault(u, []).append((vec, w))
+        object.__setattr__(self, "_out", out)
 
     def successors(self, node):
-        return [(vec, w) for (u, vec, w) in self.edges if u == node]
+        return list(self._out.get(node, ()))
 
     def edge_bounds(self):
         lo = [0] * self.dimension

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import has_bound_run, prepare, random_graph
 
-from opra.bruteforce import check_instantiation
+from opra.bruteforce import answers_brute, check_instantiation
 from opra.engine import Engine, _Prepared, answers, holds
 from opra.errors import NotAWitness
 from opra.graph import NEG_INF, POS_INF, SINK, Graph, Labelling, comb
@@ -130,6 +130,24 @@ class TestWeights:
         u = ProductNode((), COUNTER_INF, ("B",), ())
         assert o.weights(u) == (2,)  # -attr(B) = 2
 
+    def test_one_slot_range_is_exact(self):
+        """Every step adds w - u = -1 or -4, or 0 once the path has ended;
+        adding up each term's extremes would read (-4, 2)."""
+        g = Graph(["n0", "n1"], [
+            Labelling("E", 2, {("n0", "n1"): 1, ("n1", "n0"): 1,
+                               ("n1", "n1"): 1}, 0),
+            Labelling("w", 1, {("n0",): 2, ("n1",): -1}, 0),
+            Labelling("u", 1, {("n0",): 3, ("n1",): 3}, 0),
+        ])
+        text = "SELECT NODES x, y SUCH THAT x -[p]-> y : E HAVING w[p] - u[p]"
+        o, _, _ = make_oracle(text + " <= 5", g, env={"x": "n0", "y": "n1"})
+        assert o.weight_ranges() == [(-4, 0)]
+        for bound in (" <= 5", " <= -5", " <= -9"):
+            q = parse(text + bound)
+            got, complete = answers(q, g)
+            assert complete, bound
+            assert {t for t, _ in got} == answers_brute(q, g, max_len=6), bound
+
 
 class TestSuccessors:
     def test_matches_is_edge_filter(self):
@@ -161,6 +179,35 @@ class TestSuccessors:
             env={"x": "a", "y": "b"})
         u = ProductNode((), COUNTER_INF, (SINK,), ())
         assert {w.nodes for w in o.successors(u)} == {(SINK,)}
+
+    def test_next_blind_letter_decided_once(self):
+        """A letter that reads no next position is evaluated once per
+        expanded node, not once per next-node candidate."""
+        g = Graph(["a", "b", "c"], [Labelling(
+            "E", 2, {("a", "a"): 1, ("a", "b"): 1, ("a", "c"): 1}, 0)])
+        o, _, _ = make_oracle(
+            "SELECT NODES x, y SUCH THAT x -[p]-> y : E "
+            "WHERE <E(p@0, p@0) = 1>*", g, env={"x": "a", "y": "c"})
+        u = next(iter(o.initials()))
+        calls = []
+        moves = o._moves
+        o._moves = lambda ai, u, nxt: calls.append(ai) or moves(ai, u, nxt)
+        assert {w.nodes for w in o.successors(u)} == {("a",), ("b",), ("c",)}
+        assert calls == [0]
+
+    def test_dead_step_scans_no_candidates(self, ab_graph):
+        """After its one letter the automaton has only the padding move, so
+        a node whose path still runs has no successor, found without
+        scanning the next nodes (the letter reads one, so the automaton
+        cannot be decided before the scan)."""
+        o, _, _ = make_oracle(
+            "SELECT NODES x, y SUCH THAT x -[p]-> y : E "
+            "WHERE <E(p@0, p@1) = 1>", ab_graph, env={"x": "a", "y": "b"})
+        u = next(iter(o.initials()))
+        w = next(w for w in o.successors(u) if w.nodes == ("b",))
+        scanned = []
+        o._free_slot_candidates = lambda slot, cur: scanned.append(cur) or []
+        assert o.successors(w) == () and not scanned
 
 
 class TestOutNeighbourIndex:

@@ -68,6 +68,13 @@ class TestZReachable:
         res = z_reachable(v, Configuration("a", (0,)), Configuration("a", (0,)))
         assert res.status == WITNESS and len(res.witness) in (0, 2)
 
+    def test_successors_in_edge_order(self):
+        edges = (("a", (1,), "b"), ("b", (2,), "a"), ("a", (3,), "a"))
+        v = Vass(("a", "b", "c"), edges, 1)
+        assert v.successors("a") == [((1,), "b"), ((3,), "a")]
+        assert v.successors("c") == []
+        assert v == Vass(("a", "b", "c"), edges, 1)
+
     def test_dimension_mismatch(self):
         v = Vass(("v",), (), 2)
         with pytest.raises(DimensionMismatch):
